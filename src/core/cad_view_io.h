@@ -30,7 +30,4 @@ std::string CadViewToJson(const CadView& view);
 /// the representative labels joined by '|'.
 std::string CadViewToCsv(const CadView& view);
 
-/// Escapes a string for embedding in a JSON document (adds no quotes).
-std::string JsonEscape(const std::string& s);
-
 }  // namespace dbx

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/data/used_cars.h"
+#include "src/util/hash.h"
 #include "src/util/rng.h"
 #include "src/util/shard.h"
 #include "src/util/string_util.h"
@@ -86,27 +87,16 @@ uint64_t RowSeed(uint64_t seed, uint64_t i) {
   return z ^ (z >> 31);
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-void FnvBytes(uint64_t* h, const void* data, size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
 void FnvStr(uint64_t* h, const char* s) {
-  FnvBytes(h, s, std::strlen(s));
-  unsigned char sep = 0x1F;
-  FnvBytes(h, &sep, 1);
+  *h = Fnv1aAppend(*h, s, std::strlen(s));
+  const unsigned char sep = 0x1F;
+  *h = Fnv1aAppend(*h, &sep, 1);
 }
 
 void FnvNum(uint64_t* h, double d) {
   uint64_t bits = 0;
   std::memcpy(&bits, &d, sizeof(bits));
-  FnvBytes(h, &bits, sizeof(bits));
+  *h = Fnv1aAppend(*h, &bits, sizeof(bits));
 }
 
 // The scaled generator's fixed categorical domains, interned from the market
@@ -198,7 +188,7 @@ UsedCarRow ScaledUsedCars::GenerateRow(size_t i) const {
 uint64_t ScaledUsedCars::RowFingerprint(size_t i) const {
   UsedCarRow r = GenerateRow(i);
   const UsedCarModelSpec& m = UsedCarModels()[r.model_idx];
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1aOffset;
   FnvStr(&h, m.make);
   FnvStr(&h, m.model);
   FnvStr(&h, m.body);

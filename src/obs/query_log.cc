@@ -5,31 +5,6 @@
 #include "src/util/string_util.h"
 
 namespace dbx {
-namespace {
-
-// JSON string escaping; statements may carry quotes and backslashes.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 QueryLog::QueryLog(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}

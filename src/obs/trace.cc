@@ -15,30 +15,6 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-// JSON string escaping for the Chrome-trace export. Span names and args are
-// plain ASCII by construction, but predicates quoted into args may carry
-// quotes or backslashes.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Serializes one complete ("X") event under `pid`; Chrome expects
 // microsecond floats.
 void AppendChromeEvent(std::string* out, const TraceEvent& e, int pid) {

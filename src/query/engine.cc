@@ -34,30 +34,17 @@ const char* StatementKindName(const Statement& statement) {
 
 }  // namespace
 
-void Engine::RegisterTable(const std::string& name, const Table* table) {
-  // A (re-)registration means the data under `name` may have changed. The
-  // fresh snapshot id keeps the new registration's cache keys disjoint from
-  // every prior one (correctness, even across engines sharing the cache);
-  // invalidating the superseded id just reclaims budget promptly.
-  auto it = dataset_ids_.find(name);
-  if (cache_ != nullptr && it != dataset_ids_.end()) {
-    cache_->InvalidateDataset(it->second);
-  }
-  dataset_ids_[name] = MakeSnapshotDatasetId(name);
-  tables_[name] = table;
-}
-
-void Engine::RegisterTableSnapshot(const std::string& name, const Table* table,
-                                   std::string dataset_id) {
-  dataset_ids_[name] = std::move(dataset_id);
-  tables_[name] = table;
-}
-
 void Engine::RegisterTableSnapshot(const std::string& name,
                                    std::shared_ptr<const Table> table,
                                    std::string dataset_id) {
-  RegisterTableSnapshot(name, table.get(), std::move(dataset_id));
-  owned_tables_[name] = std::move(table);
+  catalog_.Register(name, std::move(table), std::move(dataset_id),
+                    cache_.get());
+}
+
+void Engine::RegisterTable(const std::string& name, const Table* table) {
+  // Aliasing constructor with no owner: a non-owning shared_ptr.
+  RegisterTableSnapshot(name, {std::shared_ptr<const Table>(), table},
+                        MakeSnapshotDatasetId(name));
 }
 
 Result<ExecOutcome> Engine::ExecuteSql(const std::string& sql) {
@@ -144,11 +131,9 @@ Result<const CadView*> Engine::GetView(const std::string& name) const {
 }
 
 Result<ExecOutcome> Engine::ExecuteSelect(SelectStmt stmt) {
-  auto it = tables_.find(stmt.table);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table named '" + stmt.table + "'");
-  }
-  const Table& table = *it->second;
+  DBX_ASSIGN_OR_RETURN(const TableCatalog::Entry* entry,
+                       catalog_.Find(stmt.table));
+  const Table& table = *entry->table;
   if (stmt.is_aggregate()) return ExecuteAggregate(table, std::move(stmt));
 
   // Validate projection.
@@ -401,11 +386,9 @@ Result<ExecOutcome> Engine::ExecuteAggregate(const Table& table,
 }
 
 Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
-  auto it = tables_.find(stmt.table);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table named '" + stmt.table + "'");
-  }
-  const Table& table = *it->second;
+  DBX_ASSIGN_OR_RETURN(const TableCatalog::Entry* entry,
+                       catalog_.Find(stmt.table));
+  const Table& table = *entry->table;
 
   CadViewOptions options = defaults_;
   options.pivot_attr = stmt.pivot_attr;
@@ -431,9 +414,8 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
       }
       std::vector<std::string> predicates;
       if (stmt.where) predicates.push_back(stmt.where->ToString());
-      key = ViewCacheKey::Make(dataset_ids_.at(stmt.table),
-                               std::move(predicates), stmt.pivot_attr, {},
-                               std::move(params));
+      key = ViewCacheKey::Make(entry->snapshot_id, std::move(predicates),
+                               stmt.pivot_attr, {}, std::move(params));
       if (auto hit = cache_->Lookup(*key)) {
         probe_span.AddArg("result", "hit");
         probe_span.AddArg("saved_build_ms",
@@ -524,11 +506,9 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
 }
 
 Result<ExecOutcome> Engine::ExecuteDescribe(const DescribeStmt& stmt) {
-  auto it = tables_.find(stmt.table);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table named '" + stmt.table + "'");
-  }
-  const Table& table = *it->second;
+  DBX_ASSIGN_OR_RETURN(const TableCatalog::Entry* entry,
+                       catalog_.Find(stmt.table));
+  const Table& table = *entry->table;
 
   AsciiTable render;
   render.SetHeader({"attribute", "type", "queriable", "distinct", "nulls",
@@ -576,9 +556,9 @@ Result<ExecOutcome> Engine::ExecuteShow(const ShowStmt& stmt) {
   AsciiTable render;
   if (stmt.what == ShowStmt::What::kTables) {
     render.SetHeader({"table", "rows", "attributes"});
-    for (const auto& [name, table] : tables_) {
-      render.AddRow({name, std::to_string(table->num_rows()),
-                     std::to_string(table->num_cols())});
+    for (const auto& [name, entry] : catalog_.entries()) {
+      render.AddRow({name, std::to_string(entry.table->num_rows()),
+                     std::to_string(entry.table->num_cols())});
     }
   } else {
     render.SetHeader({"cadview", "pivot", "rows", "compare attrs"});

@@ -16,6 +16,7 @@
 #include "src/obs/query_log.h"
 #include "src/obs/trace.h"
 #include "src/query/ast.h"
+#include "src/query/table_catalog.h"
 #include "src/util/result.h"
 
 namespace dbx {
@@ -58,27 +59,22 @@ struct ExecOutcome {
 /// registered tables and keeps created CAD Views by name.
 class Engine {
  public:
-  /// Registers `table` under `name`; the table must outlive the engine.
-  /// Re-registering a name replaces it. Each registration mints a fresh
-  /// snapshot dataset id (see MakeSnapshotDatasetId) that keys any attached
-  /// cache, so views built over a superseded registration can never be
-  /// served for the new one — even by a cache shared with other engines.
-  void RegisterTable(const std::string& name, const Table* table);
-
-  /// Registers `table` under `name` with a caller-owned snapshot dataset id.
-  /// Several engines registering the *same* immutable snapshot under the
-  /// same id share cache entries (the multi-session server's sessions); the
-  /// caller owns invalidation for the id's lifecycle.
-  void RegisterTableSnapshot(const std::string& name, const Table* table,
-                             std::string dataset_id);
-
-  /// As above, but the engine shares ownership of the snapshot — the form a
-  /// storage backend hands out (LoadTable returns shared_ptr<const Table> +
-  /// content-addressed id). The snapshot outlives any re-registration of the
-  /// name for as long as this engine does.
+  /// Registers an immutable table snapshot under `name`. The engine shares
+  /// ownership of `table` until the name is registered again, and keys the
+  /// attached cache with `dataset_id`: engines registering the same snapshot
+  /// under the same id share cache entries (the server's sessions), and a
+  /// storage backend's content-addressed id keeps an unchanged reopened
+  /// table warm. Re-registering a name with a different id drops the old
+  /// id's entries from the attached cache; the same id keeps them
+  /// (TableCatalog::Register).
   void RegisterTableSnapshot(const std::string& name,
                              std::shared_ptr<const Table> table,
                              std::string dataset_id);
+
+  /// Registers a caller-owned table, which must outlive its registration,
+  /// under a fresh MakeSnapshotDatasetId(name): views built over any earlier
+  /// registration of the name can never be served for this one.
+  void RegisterTable(const std::string& name, const Table* table);
 
   /// Attributes this engine's cache inserts to `owner` for per-session byte
   /// budgeting in a shared ViewCache ("" = unattributed).
@@ -92,7 +88,7 @@ class Engine {
 
   /// Attaches a (possibly shared) view cache: repeated CREATE CADVIEW
   /// statements over an unchanged table short-circuit to the cached build.
-  /// Re-registering a table invalidates its entries. nullptr detaches.
+  /// nullptr detaches.
   void SetViewCache(std::shared_ptr<ViewCache> cache) {
     cache_ = std::move(cache);
   }
@@ -140,12 +136,7 @@ class Engine {
   [[nodiscard]]
   Result<ExecOutcome> ExecuteExplain(ExplainStmt stmt, uint64_t parse_ns);
 
-  std::map<std::string, const Table*> tables_;
-  /// Snapshot dataset id of each registered name — the cache keying
-  /// identity. Always present for a registered table.
-  std::map<std::string, std::string> dataset_ids_;
-  /// Keep-alive for snapshots registered via the shared_ptr overload.
-  std::map<std::string, std::shared_ptr<const Table>> owned_tables_;
+  TableCatalog catalog_;
   std::map<std::string, std::unique_ptr<CadView>> views_;
   CadViewOptions defaults_;
   std::shared_ptr<ViewCache> cache_;

@@ -47,31 +47,18 @@ Dispatcher::Dispatcher(ServerOptions options)
                                          : Tracer::Disabled()),
       query_log_(options_.query_log) {}
 
-void Dispatcher::RegisterTable(const std::string& name, const Table* table) {
-  MutexLock lock(mu_);
-  auto it = tables_.find(name);
-  if (it != tables_.end()) {
-    // Superseded registration: its snapshot id keeps old entries unreachable
-    // (correctness); invalidating reclaims their budget promptly.
-    cache_->InvalidateDataset(it->second.second);
-  }
-  tables_[name] = {table, MakeSnapshotDatasetId(name)};
-}
-
 void Dispatcher::RegisterTableSnapshot(const std::string& name,
                                        std::shared_ptr<const Table> table,
                                        std::string snapshot_id) {
   MutexLock lock(mu_);
-  auto it = tables_.find(name);
-  if (it != tables_.end() && it->second.second != snapshot_id) {
-    // Different content under the same name: the superseded registration's
-    // entries are unreachable under the new id; invalidating reclaims their
-    // budget promptly. An unchanged id keeps them — that IS the warm-reopen
-    // path.
-    cache_->InvalidateDataset(it->second.second);
-  }
-  tables_[name] = {table.get(), std::move(snapshot_id)};
-  owned_tables_[name] = std::move(table);
+  catalog_.Register(name, std::move(table), std::move(snapshot_id),
+                    cache_.get());
+}
+
+void Dispatcher::RegisterTable(const std::string& name, const Table* table) {
+  // Aliasing constructor with no owner: a non-owning shared_ptr.
+  RegisterTableSnapshot(name, {std::shared_ptr<const Table>(), table},
+                        MakeSnapshotDatasetId(name));
 }
 
 Result<std::string> Dispatcher::OpenSession(ConnectionScope* scope) {
@@ -88,8 +75,9 @@ Result<std::string> Dispatcher::OpenSession(ConnectionScope* scope) {
     // Uncontended (the session is not yet published in sessions_); taken so
     // every access to the guarded engine happens under the session mutex.
     MutexLock session_lock(session->mu);
-    for (const auto& [name, entry] : tables_) {
-      session->engine.RegisterTableSnapshot(name, entry.first, entry.second);
+    for (const auto& [name, entry] : catalog_.entries()) {
+      session->engine.RegisterTableSnapshot(name, entry.table,
+                                            entry.snapshot_id);
     }
     session->engine.SetDefaultCadViewOptions(options_.cad_defaults);
     session->engine.SetViewCache(cache_);

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "src/query/engine.h"
+#include "src/query/table_catalog.h"
 #include "src/server/protocol.h"
 #include "src/server/transport.h"
 #include "src/util/mutex.h"
@@ -106,21 +107,20 @@ class Dispatcher {
   Dispatcher& operator=(const Dispatcher&) = delete;
 
   /// Registers an immutable table snapshot for all *subsequently opened*
-  /// sessions (already-open sessions keep the registration they saw at
-  /// OPEN). Re-registering a name replaces it and invalidates the old
-  /// registration's cache entries; snapshot-identity keying makes the old
-  /// entries unreachable either way. The table must outlive the dispatcher.
-  void RegisterTable(const std::string& name, const Table* table);
-
-  /// Registers a backend-owned snapshot: the dispatcher shares ownership of
-  /// the (immutable) table and keys the shared cache with the caller's
-  /// content-addressed `snapshot_id` (storage::TableSnapshot::snapshot_id).
-  /// Re-registering a name with the SAME id is a no-op for the cache —
-  /// reopening an unchanged table keeps every warm entry — while a different
-  /// id invalidates the superseded registration's entries.
+  /// sessions, keyed in the shared cache by `snapshot_id` (for a storage
+  /// backend, storage::TableSnapshot::snapshot_id). The dispatcher and every
+  /// session opened while this registration is current share ownership of
+  /// the table, so an open session keeps the registration it saw at OPEN
+  /// alive until CLOSE. Re-registering a name with a different id drops the
+  /// old id's entries from the shared cache; the same id keeps them, which
+  /// is the warm-reopen path (TableCatalog::Register).
   void RegisterTableSnapshot(const std::string& name,
                              std::shared_ptr<const Table> table,
                              std::string snapshot_id);
+
+  /// Registers a caller-owned table, which must outlive the dispatcher,
+  /// under a fresh MakeSnapshotDatasetId(name).
+  void RegisterTable(const std::string& name, const Table* table);
 
   /// Sessions opened by one connection, reaped when its loop exits.
   struct ConnectionScope {
@@ -177,13 +177,7 @@ class Dispatcher {
   QueryLog* query_log_;  // nullable
 
   mutable Mutex mu_;
-  /// name -> (table, snapshot dataset id); ordered so OPEN registers tables
-  /// deterministically.
-  std::map<std::string, std::pair<const Table*, std::string>> tables_
-      DBX_GUARDED_BY(mu_);
-  /// Keep-alive for snapshots registered via RegisterTableSnapshot.
-  std::map<std::string, std::shared_ptr<const Table>> owned_tables_
-      DBX_GUARDED_BY(mu_);
+  TableCatalog catalog_ DBX_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<Session>> sessions_
       DBX_GUARDED_BY(mu_);
   uint64_t next_session_id_ DBX_GUARDED_BY(mu_) = 0;

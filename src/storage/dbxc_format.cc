@@ -9,6 +9,7 @@
 
 #include "src/stats/histogram.h"
 #include "src/storage/storage.h"
+#include "src/util/hash.h"
 
 namespace dbx::storage {
 namespace {
@@ -21,16 +22,8 @@ constexpr uint32_t kMaxNameLen = 1u << 20;
 constexpr uint32_t kMaxHeaderLen = 1u << 26;
 constexpr uint32_t kMaxStringLen = 1u << 24;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
 uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = kFnvOffset;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return Fnv1aAppend(kFnv1aOffset, bytes.data(), bytes.size());
 }
 
 void PutU32(std::string* out, uint32_t v) {

@@ -8,31 +8,21 @@
 #include "src/storage/dbxc_backend.h"
 #include "src/storage/mem_backend.h"
 #include "src/storage/sqlite_backend.h"
+#include "src/util/hash.h"
 
 namespace dbx::storage {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-inline void HashBytes(uint64_t* h, const void* data, size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
 inline void HashU64(uint64_t* h, uint64_t v) {
   unsigned char b[8];
   for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  HashBytes(h, b, 8);
+  *h = Fnv1aAppend(*h, b, 8);
 }
 
 inline void HashString(uint64_t* h, const std::string& s) {
   HashU64(h, s.size());
-  HashBytes(h, s.data(), s.size());
+  *h = Fnv1aAppend(*h, s.data(), s.size());
 }
 
 /// One fixed bit pattern for every NaN spelling, so a null numeric cell
@@ -47,7 +37,7 @@ inline uint64_t CanonicalDoubleBits(double d) {
 }  // namespace
 
 uint64_t TableContentHash(const Table& table) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1aOffset;
   HashU64(&h, table.num_rows());
   HashU64(&h, table.num_cols());
   for (const AttributeDef& a : table.schema().attrs()) {

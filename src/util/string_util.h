@@ -46,6 +46,11 @@ std::string FormatDouble(double value, int digits);
 /// here corrupt view-cache keys (tests/fuzz/parser_fuzz.cc guards it).
 std::string QuoteSqlString(std::string_view s);
 
+/// Escapes `s` for embedding in a JSON string (adds no quotes): the RFC 8259
+/// two-character forms for quote, backslash, BS, FF, LF, CR and TAB, and
+/// \u00XX for every other control byte.
+std::string JsonEscape(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

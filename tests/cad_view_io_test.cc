@@ -92,13 +92,5 @@ TEST_F(CadViewIoTest, CsvHasOneLinePerCell) {
   EXPECT_EQ(csv.substr(0, 11), "pivot_value");
 }
 
-TEST(JsonEscapeTest, EscapesControlAndSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 }  // namespace
 }  // namespace dbx

@@ -1,6 +1,6 @@
 // Property-based suites spanning modules: predicate algebra laws, CSV
-// round-trips over randomized tables, materialization, and a CAD View
-// invariant sweep over the full (k, l, c) option grid.
+// round-trips over randomized tables, and a CAD View invariant sweep over
+// the full (k, l, c) option grid.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "src/core/iunit_similarity.h"
 #include "src/data/used_cars.h"
 #include "src/relation/csv.h"
-#include "src/relation/materialize.h"
 #include "src/query/canonical.h"
 #include "src/query/parser.h"
 #include "src/relation/predicate.h"
@@ -128,39 +127,6 @@ TEST_P(CsvRoundTripTest, RandomTablesSurvive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvRoundTripTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// --- Materialization -----------------------------------------------------------------
-
-TEST(MaterializeTest, CopiesRowsAndProjection) {
-  Table t = RandomTable(50, 77);
-  TableSlice slice{&t, {3, 7, 11}};
-  auto m = MaterializeSlice(slice, {"C2", "N2"});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->num_rows(), 3u);
-  EXPECT_EQ(m->num_cols(), 2u);
-  EXPECT_EQ(m->schema().attr(0).name, "C2");
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(m->At(i, 0).ToDisplay(), t.At(slice.rows[i], 1).ToDisplay());
-    EXPECT_EQ(m->At(i, 1).ToDisplay(), t.At(slice.rows[i], 3).ToDisplay());
-  }
-}
-
-TEST(MaterializeTest, AllColumnsByDefault) {
-  Table t = RandomTable(20, 5);
-  auto m = MaterializeSlice(TableSlice::All(t));
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->num_cols(), t.num_cols());
-  EXPECT_EQ(m->num_rows(), t.num_rows());
-}
-
-TEST(MaterializeTest, Errors) {
-  Table t = RandomTable(5, 5);
-  EXPECT_TRUE(MaterializeSlice({nullptr, {}}).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MaterializeSlice(TableSlice::All(t), {"Nope"}).status().IsNotFound());
-  TableSlice bad{&t, {99}};
-  EXPECT_TRUE(MaterializeSlice(bad).status().IsOutOfRange());
-}
 
 // --- Canonical unparser fixed point ---------------------------------------------------
 //

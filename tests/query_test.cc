@@ -902,7 +902,7 @@ TEST(EngineSharedCacheTest, DistinctRegistrationsNeverShareEntries) {
 
 TEST(EngineSharedCacheTest, SharedSnapshotRegistrationsShareEntries) {
   auto cache = std::make_shared<ViewCache>();
-  Table t = GenerateUsedCars(400, 1);
+  auto t = std::make_shared<const Table>(GenerateUsedCars(400, 1));
   const std::string snapshot = MakeSnapshotDatasetId("T");
   Engine e1;
   Engine e2;
@@ -910,8 +910,8 @@ TEST(EngineSharedCacheTest, SharedSnapshotRegistrationsShareEntries) {
   e2.SetViewCache(cache);
   // Both engines name the same immutable snapshot — the multi-session
   // server's arrangement — so they share cache entries.
-  e1.RegisterTableSnapshot("T", &t, snapshot);
-  e2.RegisterTableSnapshot("T", &t, snapshot);
+  e1.RegisterTableSnapshot("T", t, snapshot);
+  e2.RegisterTableSnapshot("T", t, snapshot);
   const std::string stmt =
       "CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM T "
       "WHERE BodyType = SUV LIMIT COLUMNS 2 IUNITS 2";
@@ -945,6 +945,46 @@ TEST(EngineSharedCacheTest, ReRegistrationInvalidatesItsOwnSnapshotOnly) {
   ViewCacheStats stats = cache->stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.inserts, 2u);
+}
+
+TEST(EngineSharedCacheTest, SnapshotReRegistrationInvalidatesOnlyOnNewId) {
+  auto cache = std::make_shared<ViewCache>();
+  auto t = std::make_shared<const Table>(GenerateUsedCars(400, 1));
+  Engine engine;
+  engine.SetViewCache(cache);
+  engine.RegisterTableSnapshot("T", t, "T@a");
+  const std::string stmt =
+      "CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM T "
+      "WHERE BodyType = SUV LIMIT COLUMNS 2 IUNITS 2";
+  ASSERT_TRUE(engine.ExecuteSql(stmt).ok());
+  EXPECT_EQ(cache->stats().entries, 1u);
+  // The same id (an unchanged snapshot, even as a fresh Table object) keeps
+  // the entry: the rebuild is a hit.
+  engine.RegisterTableSnapshot(
+      "T", std::make_shared<const Table>(GenerateUsedCars(400, 1)), "T@a");
+  EXPECT_EQ(cache->stats().invalidations, 0u);
+  ASSERT_TRUE(engine.ExecuteSql(stmt).ok());
+  EXPECT_EQ(cache->stats().hits, 1u);
+  // A different id drops the old id's entries.
+  engine.RegisterTableSnapshot("T", t, "T@b");
+  EXPECT_EQ(cache->stats().entries, 0u);
+  EXPECT_EQ(cache->stats().invalidations, 1u);
+}
+
+TEST(EngineRegistrationTest, RawRegistrationReleasesReplacedSnapshot) {
+  auto snapshot = std::make_shared<const Table>(GenerateUsedCars(200, 1));
+  std::weak_ptr<const Table> watch = snapshot;
+  Table replacement = GenerateUsedCars(200, 2);
+  Engine engine;
+  engine.RegisterTableSnapshot("T", std::move(snapshot),
+                               MakeSnapshotDatasetId("T"));
+  EXPECT_FALSE(watch.expired());
+  engine.RegisterTable("T", &replacement);
+  EXPECT_TRUE(watch.expired())
+      << "a replaced registration must not be kept alive";
+  auto out = engine.ExecuteSql("SELECT * FROM T");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->table, &replacement);
 }
 
 }  // namespace

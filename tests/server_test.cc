@@ -426,6 +426,37 @@ TEST_F(ServerTest, SessionsShareCachedViews) {
   EXPECT_EQ(DecodeResponse(r1[1])->body, second->body);
 }
 
+// An open session keeps the registration it saw at OPEN alive, whether the
+// name is re-registered with new content (a different snapshot id) or as a
+// fresh Table object under the same id (the warm-reopen path).
+TEST_F(ServerTest, OpenSessionKeepsReplacedSnapshotAliveUntilClose) {
+  const std::string stmt =
+      "EXEC s1 SELECT Make, COUNT(*) FROM UsedCars GROUP BY Make "
+      "ORDER BY count DESC LIMIT 5";
+  for (const char* new_id : {"UsedCars@b", "UsedCars@a"}) {
+    SCOPED_TRACE(new_id);
+    ServerOptions options;
+    options.metrics = &metrics_;
+    Dispatcher d(std::move(options));
+    auto snapshot = std::make_shared<const Table>(GenerateUsedCars(600, 1));
+    std::weak_ptr<const Table> watch = snapshot;
+    d.RegisterTableSnapshot("UsedCars", std::move(snapshot), "UsedCars@a");
+    Dispatcher::ConnectionScope scope;
+    ASSERT_EQ(d.HandleRequest("OPEN", &scope), "OK\ns1");
+    const std::string before = d.HandleRequest(stmt, &scope);
+    ASSERT_TRUE(DecodeResponse(before)->status.ok()) << before;
+
+    d.RegisterTableSnapshot(
+        "UsedCars", std::make_shared<const Table>(GenerateUsedCars(600, 2)),
+        new_id);
+    ASSERT_FALSE(watch.expired()) << "the open session's table was freed";
+    EXPECT_EQ(d.HandleRequest(stmt, &scope), before);
+
+    EXPECT_EQ(d.HandleRequest("CLOSE s1", &scope), "OK\nclosed s1");
+    EXPECT_TRUE(watch.expired()) << "CLOSE must release the old table";
+  }
+}
+
 TEST_F(ServerTest, PerSessionBudgetRejectsInsertsNotStatements) {
   ServerOptions options;
   options.session_cache_budget_bytes = 1;  // any insert exceeds it

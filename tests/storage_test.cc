@@ -15,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "src/data/used_cars.h"
 #include "src/stats/discretizer.h"
 #include "src/storage/dbxc_backend.h"
 #include "src/storage/dbxc_format.h"
 #include "src/storage/mem_backend.h"
 #include "src/storage/mmap_file.h"
 #include "src/storage/sqlite_backend.h"
+#include "src/util/hash.h"
 
 #if defined(DBX_HAVE_SQLITE)
 #include <sqlite3.h>
@@ -514,6 +516,22 @@ TEST(SqliteBackendTest, MissingTableIsNotFound) {
 }
 
 #endif  // DBX_HAVE_SQLITE
+
+// --- Persisted identities ------------------------------------------------------
+
+// These values must never move: a changed content hash cold-starts every
+// cache warmed under the old snapshot id, and changed DBXC bytes (whose
+// checksums are FNV-1a) strand existing stores. Golden values: never
+// regenerate them from the code under test.
+TEST(StorageHashPinTest, ContentHashAndDbxcBytesArePinned) {
+  const Table table = GenerateUsedCars(2000, 7);
+  EXPECT_EQ(TableContentHash(table), 15844596987035814135ull);
+  // Exactly the bytes the dbxc: backend writes for the table.
+  const std::string bytes = DbxcSerialize(table);
+  EXPECT_EQ(bytes.size(), 71768u);
+  EXPECT_EQ(Fnv1aAppend(kFnv1aOffset, bytes.data(), bytes.size()),
+            15053384729550892791ull);
+}
 
 }  // namespace
 }  // namespace dbx::storage

@@ -232,6 +232,16 @@ TEST(StringUtilTest, Format) {
   EXPECT_EQ(StringPrintf("%s=%d", "k", 6), "k=6");
 }
 
+TEST(JsonEscapeTest, EscapesControlAndSpecials) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  // BS and FF take their short forms (CAD View JSON export bytes pin this).
+  EXPECT_EQ(JsonEscape("a\bb\fc"), "a\\bb\\fc");
+}
+
 // --- AsciiTable ----------------------------------------------------------------
 
 TEST(AsciiTableTest, RendersHeaderAndRows) {
