@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/relation/value.h"
+#include "src/util/status.h"
 
 namespace dbx {
 
@@ -47,6 +48,53 @@ class Column {
       codes_.push_back(kNullCode);
     } else {
       nums_.push_back(std::numeric_limits<double>::quiet_NaN());
+    }
+  }
+
+  /// Appends one cell per entry of `codes`, each an index into `dict` or
+  /// kNullCode. Interns every distinct code once, on its first appearance,
+  /// so the column ends up with exactly the codes and dictionary order that
+  /// AppendString over the same cells gives, whatever the order, duplicates
+  /// or unused entries of `dict`. InvalidArgument, with the column
+  /// unchanged, on a non-categorical column or an out-of-range code.
+  [[nodiscard]] Status AppendCodes(const std::vector<int32_t>& codes,
+                                   const std::vector<std::string>& dict) {
+    if (type_ != AttrType::kCategorical) {
+      return Status::InvalidArgument("AppendCodes on a numeric column");
+    }
+    // Validate before mutating so a rejected append leaves the column
+    // unchanged.
+    for (int32_t code : codes) {
+      if (code != kNullCode &&
+          (code < 0 || static_cast<size_t>(code) >= dict.size())) {
+        return Status::InvalidArgument(
+            "code " + std::to_string(code) + " outside a dictionary of " +
+            std::to_string(dict.size()));
+      }
+    }
+    // remap[c] is this column's code for dict[c], interned when c first
+    // appears; kNullCode until then.
+    std::vector<int32_t> remap(dict.size(), kNullCode);
+    codes_.reserve(codes_.size() + codes.size());
+    for (int32_t code : codes) {
+      if (code == kNullCode) {
+        codes_.push_back(kNullCode);
+        continue;
+      }
+      int32_t& mapped = remap[static_cast<size_t>(code)];
+      if (mapped == kNullCode) mapped = Intern(dict[static_cast<size_t>(code)]);
+      codes_.push_back(mapped);
+    }
+    return Status::OK();
+  }
+
+  /// Appends `nums` (NaN = null), storing every NaN as the quiet NaN that
+  /// AppendNull writes. Requires type() == kNumeric.
+  void AppendNumbers(const std::vector<double>& nums) {
+    nums_.reserve(nums_.size() + nums.size());
+    for (double d : nums) {
+      nums_.push_back(std::isnan(d) ? std::numeric_limits<double>::quiet_NaN()
+                                    : d);
     }
   }
 
@@ -110,6 +158,9 @@ class Column {
     dict_index_[s] = code;
     return code;
   }
+
+  /// The dictionary, indexed by code.
+  const std::vector<std::string>& dict() const { return dict_; }
 
   /// Raw code vector (categorical columns; size() entries).
   const std::vector<int32_t>& codes() const { return codes_; }

@@ -9,6 +9,32 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Result<Table> Table::FromColumns(Schema schema, std::vector<Column> cols,
+                                 size_t num_rows) {
+  if (cols.size() != schema.size()) {
+    return Status::InvalidArgument(
+        std::to_string(cols.size()) + " columns for a schema of arity " +
+        std::to_string(schema.size()));
+  }
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const AttributeDef& a = schema.attr(i);
+    if (cols[i].type() != a.type) {
+      return Status::InvalidArgument(
+          "column '" + a.name + "' is " + AttrTypeName(cols[i].type()) +
+          ", schema says " + AttrTypeName(a.type));
+    }
+    if (cols[i].size() != num_rows) {
+      return Status::InvalidArgument(
+          "column '" + a.name + "' has " + std::to_string(cols[i].size()) +
+          " rows, expected " + std::to_string(num_rows));
+    }
+  }
+  Table t(std::move(schema));
+  for (size_t i = 0; i < cols.size(); ++i) *t.cols_[i] = std::move(cols[i]);
+  t.num_rows_ = num_rows;
+  return t;
+}
+
 Result<const Column*> Table::ColByName(const std::string& name) const {
   auto idx = schema_.IndexOf(name);
   if (!idx) return Status::NotFound("no attribute named '" + name + "'");

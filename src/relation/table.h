@@ -26,6 +26,15 @@ class Table {
  public:
   explicit Table(Schema schema);
 
+  /// Builds a table of `num_rows` rows from whole columns, one per attribute
+  /// in schema order: the bulk path that loads and copies take. Checks,
+  /// before any Table exists, that there is one column per attribute, that
+  /// each column's type matches its attribute's, and that every column
+  /// holds exactly `num_rows` cells; InvalidArgument otherwise.
+  [[nodiscard]] static Result<Table> FromColumns(Schema schema,
+                                                 std::vector<Column> cols,
+                                                 size_t num_rows);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_cols() const { return schema_.size(); }

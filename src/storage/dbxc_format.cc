@@ -451,40 +451,25 @@ Status DbxcTableFile::CopyNumbers(size_t c, std::vector<double>* out) const {
 }
 
 Result<std::shared_ptr<Table>> DbxcTableFile::Materialize() const {
-  auto table = std::make_shared<Table>(schema_);
-  const size_t rows = num_rows();
-  const size_t cols = num_cols();
-  // Decode every column once, then append row-wise through the public API
-  // (re-interning reproduces the stored dictionary order, because DBXC
-  // dictionaries are written in first-appearance order).
-  std::vector<std::vector<int32_t>> codes(cols);
-  std::vector<std::vector<std::string>> dicts(cols);
-  std::vector<std::vector<double>> nums(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    if (header_.cols[c].type == AttrType::kCategorical) {
-      DBX_RETURN_IF_ERROR(DecodeCodes(c, &codes[c]));
+  std::vector<Column> cols;
+  cols.reserve(num_cols());
+  std::vector<int32_t> codes;
+  std::vector<double> nums;
+  for (size_t c = 0; c < num_cols(); ++c) {
+    Column& col = cols.emplace_back(header_.cols[c].type);
+    if (col.type() == AttrType::kCategorical) {
+      DBX_RETURN_IF_ERROR(DecodeCodes(c, &codes));
       auto dict = DictStrings(c);
       if (!dict.ok()) return dict.status();
-      dicts[c] = std::move(*dict);
+      DBX_RETURN_IF_ERROR(col.AppendCodes(codes, *dict));
     } else {
-      DBX_RETURN_IF_ERROR(CopyNumbers(c, &nums[c]));
+      DBX_RETURN_IF_ERROR(CopyNumbers(c, &nums));
+      col.AppendNumbers(nums);
     }
   }
-  std::vector<Value> row(cols);
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      if (header_.cols[c].type == AttrType::kCategorical) {
-        int32_t code = codes[c][r];
-        row[c] = code == kNullCode ? Value::Null()
-                                   : Value(dicts[c][static_cast<size_t>(code)]);
-      } else {
-        double d = nums[c][r];
-        row[c] = std::isnan(d) ? Value::Null() : Value(d);
-      }
-    }
-    DBX_RETURN_IF_ERROR(table->AppendRow(row));
-  }
-  return table;
+  auto table = Table::FromColumns(schema_, std::move(cols), num_rows());
+  if (!table.ok()) return table.status();
+  return std::make_shared<Table>(std::move(*table));
 }
 
 Result<DiscretizedTable> DbxcTableFile::Discretize(
@@ -507,24 +492,18 @@ Result<DiscretizedTable> DbxcTableFile::Discretize(
     da.codes.resize(rows, -1);
     if (m.type == AttrType::kCategorical) {
       // Same re-compaction as DiscretizedTable::Build: labels appear in
-      // first-appearance order over the (full) slice. The stored codes come
-      // straight off the packed page; the strings are only touched once per
-      // distinct value, never per row.
+      // first-appearance order over the (full) slice, which is the column
+      // Materialize would build. The stored codes come straight off the
+      // packed page; the strings are only touched once per distinct value,
+      // never per row.
       std::vector<int32_t> stored;
       DBX_RETURN_IF_ERROR(DecodeCodes(c, &stored));
       auto dict = DictStrings(c);
       if (!dict.ok()) return dict.status();
-      std::vector<int32_t> remap(m.dict_size, -1);
-      for (size_t r = 0; r < rows; ++r) {
-        int32_t code = stored[r];
-        if (code == kNullCode) continue;
-        if (remap[static_cast<size_t>(code)] == -1) {
-          remap[static_cast<size_t>(code)] =
-              static_cast<int32_t>(da.labels.size());
-          da.labels.push_back((*dict)[static_cast<size_t>(code)]);
-        }
-        da.codes[r] = remap[static_cast<size_t>(code)];
-      }
+      Column col(AttrType::kCategorical);
+      DBX_RETURN_IF_ERROR(col.AppendCodes(stored, *dict));
+      da.labels = col.dict();
+      da.codes = col.codes();
     } else {
       std::vector<double> values;
       DBX_RETURN_IF_ERROR(CopyNumbers(c, &values));

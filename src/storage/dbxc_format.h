@@ -130,8 +130,13 @@ class DbxcTableFile {
   /// Copies numeric column `c` out of the mapping (NaN = null).
   [[nodiscard]] Status CopyNumbers(size_t c, std::vector<double>* out) const;
 
-  /// Rebuilds the full in-memory Table (equal to what was stored, including
-  /// dictionary order).
+  /// Rebuilds the full in-memory Table, equal to what was stored, including
+  /// dictionary order. Column by column: DecodeCodes/DictStrings or
+  /// CopyNumbers, then Column::AppendCodes/AppendNumbers and
+  /// Table::FromColumns, so no cell is rebuilt through a Value. Stored codes
+  /// are re-interned on first appearance, which drops unused dictionary
+  /// entries, merges duplicate strings and yields first-appearance order
+  /// (the order DbxcSerialize writes) even for files that do not have it.
   [[nodiscard]] Result<std::shared_ptr<Table>> Materialize() const;
 
   /// Builds the full-table DiscretizedTable straight from the mapped pages —

@@ -77,15 +77,21 @@ std::string SnapshotIdFor(const std::string& name, uint64_t content_hash) {
 }
 
 Result<std::shared_ptr<Table>> CopyTable(const Table& table) {
-  auto out = std::make_shared<Table>(table.schema());
-  std::vector<Value> row(table.num_cols());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_cols(); ++c) {
-      row[c] = table.At(r, c);
+  std::vector<Column> cols;
+  cols.reserve(table.num_cols());
+  for (size_t c = 0; c < table.num_cols(); ++c) {
+    const Column& src = table.col(c);
+    Column& dst = cols.emplace_back(src.type());
+    if (src.type() == AttrType::kCategorical) {
+      DBX_RETURN_IF_ERROR(dst.AppendCodes(src.codes(), src.dict()));
+    } else {
+      dst.AppendNumbers(src.numbers());
     }
-    DBX_RETURN_IF_ERROR(out->AppendRow(row));
   }
-  return out;
+  auto copy = Table::FromColumns(table.schema(), std::move(cols),
+                                 table.num_rows());
+  if (!copy.ok()) return copy.status();
+  return std::make_shared<Table>(std::move(*copy));
 }
 
 bool IsValidTableName(const std::string& name) {

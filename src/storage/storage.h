@@ -52,9 +52,10 @@ uint64_t TableContentHash(const Table& table);
 /// "<name>@<16 lowercase hex digits of hash>".
 std::string SnapshotIdFor(const std::string& name, uint64_t content_hash);
 
-/// Deep-copies `table` (schema and all cells, in row order). The copy
-/// re-interns categorical values, which reproduces the original dictionary
-/// order because dictionaries are always built in first-appearance order.
+/// Deep-copies `table` (schema and all cells, in row order) column by
+/// column through Column::AppendCodes/AppendNumbers. The copy's
+/// dictionaries are in first-appearance order without unused entries, so it
+/// equals a row-wise rebuild of `table` and serializes to the same bytes.
 [[nodiscard]] Result<std::shared_ptr<Table>> CopyTable(const Table& table);
 
 /// Table names acceptable to every backend: nonempty, at most 128 bytes of

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "src/relation/csv.h"
 #include "src/relation/predicate.h"
@@ -88,6 +89,61 @@ TEST(ColumnTest, AppendValueTypeChecked) {
   EXPECT_EQ(c.size(), 2u);
 }
 
+TEST(ColumnTest, AppendCodesInternsOnFirstAppearance) {
+  // Out-of-order dictionary with a duplicate ("x" twice) and an unused entry
+  // ("unused"): the result must equal per-cell AppendString.
+  const std::vector<std::string> dict = {"unused", "y", "x", "x"};
+  const std::vector<int32_t> codes = {3, kNullCode, 1, 2, 3, 1};
+  Column bulk(AttrType::kCategorical);
+  bulk.AppendString("y");  // appends on top of existing entries
+  ASSERT_TRUE(bulk.AppendCodes(codes, dict).ok());
+
+  Column cells(AttrType::kCategorical);
+  cells.AppendString("y");
+  for (int32_t code : codes) {
+    if (code == kNullCode) {
+      cells.AppendNull();
+    } else {
+      cells.AppendString(dict[static_cast<size_t>(code)]);
+    }
+  }
+  EXPECT_EQ(bulk.codes(), cells.codes());
+  EXPECT_EQ(bulk.dict(), cells.dict());
+  EXPECT_EQ(bulk.dict(), (std::vector<std::string>{"y", "x"}));
+}
+
+TEST(ColumnTest, AppendCodesRejectsOutOfRangeCodes) {
+  Column c(AttrType::kCategorical);
+  c.AppendString("a");
+  EXPECT_TRUE(c.AppendCodes({0, 2}, {"a", "b"}).IsInvalidArgument());
+  EXPECT_TRUE(c.AppendCodes({0, -7}, {"a", "b"}).IsInvalidArgument());
+  EXPECT_TRUE(c.AppendCodes({0}, {}).IsInvalidArgument());
+  // A rejected append leaves the column unchanged.
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.DictSize(), 1u);
+
+  Column n(AttrType::kNumeric);
+  EXPECT_TRUE(n.AppendCodes({0}, {"a"}).IsInvalidArgument());
+  EXPECT_EQ(n.size(), 0u);
+}
+
+TEST(ColumnTest, AppendNumbersCanonicalizesNaN) {
+  double payload_nan;
+  const uint64_t bits = 0xfff4000000000123ULL;  // negative, signaling payload
+  std::memcpy(&payload_nan, &bits, sizeof(bits));
+  Column bulk(AttrType::kNumeric);
+  bulk.AppendNumbers({1.5, payload_nan, -0.0});
+  Column cells(AttrType::kNumeric);
+  cells.AppendNumber(1.5);
+  cells.AppendNull();
+  cells.AppendNumber(-0.0);
+  ASSERT_EQ(bulk.size(), 3u);
+  EXPECT_TRUE(bulk.IsNullAt(1));
+  EXPECT_EQ(std::memcmp(bulk.numbers().data(), cells.numbers().data(),
+                        3 * sizeof(double)),
+            0);
+}
+
 // --- Table -------------------------------------------------------------------
 
 TEST(TableTest, AppendAndAccess) {
@@ -112,6 +168,63 @@ TEST(TableTest, TypeMismatchLeavesTableUnchanged) {
   EXPECT_EQ(t.num_rows(), 0u);
   EXPECT_EQ(t.col(0).size(), 0u);
   EXPECT_EQ(t.col(1).size(), 0u);
+}
+
+/// One column per CarSchema attribute, each with `rows` cells.
+std::vector<Column> CarColumns(size_t rows) {
+  std::vector<Column> cols;
+  cols.emplace_back(AttrType::kCategorical);
+  cols.emplace_back(AttrType::kNumeric);
+  cols.emplace_back(AttrType::kCategorical);
+  for (size_t r = 0; r < rows; ++r) {
+    cols[0].AppendString("Ford");
+    cols[1].AppendNumber(static_cast<double>(r));
+    cols[2].AppendNull();
+  }
+  return cols;
+}
+
+TEST(TableTest, FromColumnsBuildsTable) {
+  auto t = Table::FromColumns(CarSchema(), CarColumns(3), 3);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->num_rows(), 3u);
+  EXPECT_EQ(t->At(2, 0).AsString(), "Ford");
+  EXPECT_DOUBLE_EQ(t->At(2, 1).AsNumber(), 2.0);
+  EXPECT_TRUE(t->At(0, 2).is_null());
+  // The table stays appendable.
+  ASSERT_TRUE(t->AppendRow({Value("Jeep"), Value(9.0), Value("V8")}).ok());
+  EXPECT_EQ(t->num_rows(), 4u);
+}
+
+TEST(TableTest, FromColumnsAcceptsZeroRows) {
+  auto t = Table::FromColumns(CarSchema(), CarColumns(0), 0);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->num_rows(), 0u);
+  EXPECT_EQ(t->num_cols(), 3u);
+}
+
+TEST(TableTest, FromColumnsRejectsRaggedColumns) {
+  std::vector<Column> cols = CarColumns(3);
+  cols[1].AppendNumber(4.0);
+  EXPECT_TRUE(Table::FromColumns(CarSchema(), std::move(cols), 3)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Table::FromColumns(CarSchema(), CarColumns(3), 2)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(TableTest, FromColumnsRejectsSchemaMismatch) {
+  std::vector<Column> swapped = CarColumns(2);
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_TRUE(Table::FromColumns(CarSchema(), std::move(swapped), 2)
+                  .status()
+                  .IsInvalidArgument());
+  std::vector<Column> short_by_one = CarColumns(2);
+  short_by_one.pop_back();
+  EXPECT_TRUE(Table::FromColumns(CarSchema(), std::move(short_by_one), 2)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(TableTest, ColByName) {

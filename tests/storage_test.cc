@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -162,6 +166,22 @@ TEST(StorageTest, CopyTablePreservesContent) {
   auto copy = CopyTable(t);
   ASSERT_TRUE(copy.ok());
   ExpectTablesEqual(t, **copy);
+}
+
+TEST(StorageTest, CopyTableReinternsLikeRowWiseRebuild) {
+  // A dictionary with an unused entry and out-of-order codes: the copy
+  // keeps the cells but rebuilds the dictionary in first-appearance order.
+  auto schema = Schema::Make({{"Make", AttrType::kCategorical, true}});
+  Table t(std::move(*schema));
+  Column& make = t.col(0);
+  make.Intern("unused");
+  make.Intern("Jeep");
+  ASSERT_TRUE(t.AppendRow({Value("Ford")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value("Jeep")}).ok());
+  auto copy = CopyTable(t);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  ExpectTablesEqual(t, **copy);
+  EXPECT_EQ((*copy)->col(0).dict(), (std::vector<std::string>{"Ford", "Jeep"}));
 }
 
 // --- mem: --------------------------------------------------------------------
@@ -516,6 +536,184 @@ TEST(SqliteBackendTest, MissingTableIsNotFound) {
 }
 
 #endif  // DBX_HAVE_SQLITE
+
+// --- Load semantics on hand-built files ---------------------------------------
+
+// DbxcSerialize always writes first-appearance dictionaries, so these files
+// are built byte by byte: they pin what loading does with dictionaries the
+// writer never produces. A load must equal the row-wise AppendRow rebuild of
+// the same cells, in content hash and in re-serialized bytes.
+
+/// One column as it is stored: a categorical column's dictionary and per-row
+/// codes (kNullCode = null), or a numeric column's raw per-row f64 bits.
+struct StoredColumn {
+  std::string name;
+  AttrType type = AttrType::kCategorical;
+  std::vector<std::string> dict;
+  std::vector<int32_t> codes;
+  std::vector<uint64_t> bits;
+};
+
+void PutLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+uint64_t Fnv(const std::string& s) {
+  return Fnv1aAppend(kFnv1aOffset, s.data(), s.size());
+}
+
+/// Encodes `cols` (each `rows` long) in the layout documented in
+/// dbxc_format.h, with correct checksums.
+std::string HandBuiltDbxc(const std::vector<StoredColumn>& cols, size_t rows) {
+  std::string data, meta;
+  for (const StoredColumn& col : cols) {
+    PutLe(&meta, col.name.size(), 4);
+    meta += col.name;
+    meta.push_back(col.type == AttrType::kCategorical ? 0 : 1);
+    meta.push_back(1);  // queriable
+    if (col.type == AttrType::kCategorical) {
+      const uint64_t dict_off = data.size();
+      for (const std::string& s : col.dict) {
+        PutLe(&data, s.size(), 4);
+        data += s;
+      }
+      while (data.size() % 8 != 0) data.push_back('\0');
+      const uint64_t dict_len = data.size() - dict_off;
+      int width = std::max(1, static_cast<int>(std::bit_width(col.dict.size())));
+      std::vector<uint64_t> words((rows * width + 63) / 64, 0);
+      for (size_t r = 0; r < rows; ++r) {
+        const uint64_t sym = static_cast<uint64_t>(col.codes[r] + 1);
+        const size_t bit = r * width;
+        words[bit / 64] |= sym << (bit % 64);
+        if (bit % 64 + width > 64) words[bit / 64 + 1] |= sym >> (64 - bit % 64);
+      }
+      const uint64_t codes_off = data.size();
+      for (uint64_t w : words) PutLe(&data, w, 8);
+      PutLe(&meta, col.dict.size(), 4);
+      meta.push_back(static_cast<char>(width));
+      for (uint64_t v : {dict_off, dict_len, codes_off, data.size() - codes_off}) {
+        PutLe(&meta, v, 8);
+      }
+    } else {
+      PutLe(&meta, data.size(), 8);
+      PutLe(&meta, rows * 8, 8);
+      for (uint64_t b : col.bits) PutLe(&data, b, 8);
+    }
+  }
+  std::string header;
+  PutLe(&header, 0, 8);  // content hash: loading does not read it
+  PutLe(&header, rows, 8);
+  PutLe(&header, data.size(), 8);
+  PutLe(&header, Fnv(data), 8);
+  PutLe(&header, cols.size(), 4);
+  header += meta;
+  while (header.size() % 8 != 4) header.push_back('\0');
+  std::string out = "DBXC";
+  PutLe(&out, kDbxcVersion, 4);
+  PutLe(&out, header.size(), 4);
+  PutLe(&out, Fnv(header), 8);
+  return out + header + data;
+}
+
+/// The same cells appended row by row through Table::AppendRow.
+Table RowWiseReference(const std::vector<StoredColumn>& cols, size_t rows) {
+  std::vector<AttributeDef> attrs;
+  for (const StoredColumn& col : cols) attrs.push_back({col.name, col.type, true});
+  Table t(std::move(*Schema::Make(std::move(attrs))));
+  std::vector<Value> row(cols.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (cols[c].type == AttrType::kCategorical) {
+        const int32_t code = cols[c].codes[r];
+        row[c] = code == kNullCode
+                     ? Value::Null()
+                     : Value(cols[c].dict[static_cast<size_t>(code)]);
+      } else {
+        double d;
+        std::memcpy(&d, &cols[c].bits[r], sizeof(d));
+        row[c] = std::isnan(d) ? Value::Null() : Value(d);
+      }
+    }
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+/// Loads the hand-built file, checks it and its mmap Discretize against the
+/// row-wise reference, and returns it for case-specific checks.
+std::shared_ptr<Table> ExpectLoadsLikeRowWise(
+    const std::vector<StoredColumn>& cols, size_t rows) {
+  auto file = DbxcTableFile::FromBytes(HandBuiltDbxc(cols, rows));
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  if (!file.ok()) return nullptr;
+  auto loaded = file->Materialize();
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (!loaded.ok()) return nullptr;
+  const Table reference = RowWiseReference(cols, rows);
+  EXPECT_EQ(TableContentHash(**loaded), TableContentHash(reference));
+  EXPECT_EQ(DbxcSerialize(**loaded), DbxcSerialize(reference));
+  // The mmap Discretize path follows the same intern rule.
+  const DiscretizerOptions options;
+  auto mapped = file->Discretize(options);
+  auto built = DiscretizedTable::Build(TableSlice::All(reference), options);
+  EXPECT_TRUE(mapped.ok() && built.ok());
+  if (mapped.ok() && built.ok()) {
+    for (size_t a = 0; a < built->num_attrs(); ++a) {
+      EXPECT_EQ(mapped->attr(a).labels, built->attr(a).labels);
+      EXPECT_EQ(mapped->attr(a).codes, built->attr(a).codes);
+    }
+  }
+  return *loaded;
+}
+
+TEST(DbxcLoadTest, OutOfOrderDictionaryIsReinterned) {
+  const StoredColumn col{"Make", AttrType::kCategorical,
+                         {"Jeep", "Ford", "Toyota"}, {2, 1, kNullCode, 2, 0}, {}};
+  auto t = ExpectLoadsLikeRowWise({col}, 5);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->col(0).dict(),
+            (std::vector<std::string>{"Toyota", "Ford", "Jeep"}));
+  EXPECT_EQ(t->col(0).codes(), (std::vector<int32_t>{0, 1, kNullCode, 0, 2}));
+}
+
+TEST(DbxcLoadTest, DuplicateDictionaryStringsMerge) {
+  const StoredColumn col{"Make", AttrType::kCategorical,
+                         {"Ford", "Jeep", "Ford"}, {2, 1, 0, 2}, {}};
+  auto t = ExpectLoadsLikeRowWise({col}, 4);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->col(0).dict(), (std::vector<std::string>{"Ford", "Jeep"}));
+  EXPECT_EQ(t->col(0).codes(), (std::vector<int32_t>{0, 1, 0, 0}));
+}
+
+TEST(DbxcLoadTest, UnusedDictionaryEntriesAreDropped) {
+  const StoredColumn col{"Make",
+                         AttrType::kCategorical,
+                         {"never", "Ford", "unused", "Jeep"},
+                         {1, 3, 1, kNullCode},
+                         {}};
+  auto t = ExpectLoadsLikeRowWise({col}, 4);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->col(0).dict(), (std::vector<std::string>{"Ford", "Jeep"}));
+}
+
+TEST(DbxcLoadTest, NonCanonicalNaNLoadsAsNull) {
+  const StoredColumn col{"Price",
+                         AttrType::kNumeric,
+                         {},
+                         {},
+                         {0x40d4880000000000ULL,   // 21000.0
+                          0xfff4000000000123ULL,   // negative signaling NaN
+                          0x7ff0000000000001ULL,   // smallest NaN payload
+                          0x8000000000000000ULL}}; // -0.0 stays -0.0
+  const StoredColumn make{"Make", AttrType::kCategorical,
+                          {"Ford", "Jeep"}, {1, 1, kNullCode, 0}, {}};
+  auto t = ExpectLoadsLikeRowWise({col, make}, 4);
+  ASSERT_NE(t, nullptr);
+  EXPECT_TRUE(t->col(0).IsNullAt(1));
+  EXPECT_TRUE(t->col(0).IsNullAt(2));
+  EXPECT_TRUE(std::signbit(t->col(0).NumberAt(3)));
+  EXPECT_EQ(t->col(1).dict(), (std::vector<std::string>{"Jeep", "Ford"}));
+}
 
 // --- Persisted identities ------------------------------------------------------
 
