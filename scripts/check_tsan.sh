@@ -14,7 +14,8 @@ fail() { echo "TSAN CHECK FAILED: $*" >&2; exit 1; }
 cmake -B "$BUILD_DIR" -S . -DDBX_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo || fail "configure"
 cmake --build "$BUILD_DIR" -j --target \
-  thread_pool_test cad_view_test cluster_test feature_selection_test \
+  thread_pool_test cad_view_test cluster_test discretizer_test \
+  feature_selection_test \
   facet_index_test facet_test view_cache_test obs_test query_log_test \
   server_test server_replay_test shard_merge_test storage_test \
   storage_identity_test \

@@ -2,6 +2,49 @@
 
 namespace dbx {
 
+namespace {
+
+// Bins one numeric column over `rows` through the column's value-order
+// index, without sorting values: counts the rows' ranks, hands the present
+// (value, count) runs to BuildBinsFromRuns and codes each row through a
+// rank -> bin table. O(rows + distinct values); gives exactly the edges and
+// codes of binning the sorted values.
+Status BinNumeric(const Column& col, const RowSet& rows,
+                  const DiscretizerOptions& options, DiscreteAttr* da) {
+  std::shared_ptr<const ValueOrderIndex> index = col.OrderIndex();
+  const std::vector<uint32_t>& ranks = index->ranks;
+  std::vector<uint32_t> counts(index->distinct.size(), 0);  // rows per rank
+  for (uint32_t r : rows) {
+    if (ranks[r] != ValueOrderIndex::kNullRank) ++counts[ranks[r]];
+  }
+  std::vector<ValueRun> runs;
+  for (size_t k = 0; k < counts.size(); ++k) {
+    if (counts[k] != 0) runs.push_back({index->distinct[k], counts[k]});
+  }
+  if (runs.empty()) return Status::OK();
+  DBX_ASSIGN_OR_RETURN(
+      da->bins,
+      BuildBinsFromRuns(runs, options.max_numeric_bins, options.strategy));
+  da->labels.reserve(da->bins.num_bins());
+  for (size_t b = 0; b < da->bins.num_bins(); ++b) {
+    da->labels.push_back(da->bins.LabelOf(b));
+  }
+  // Reuse counts as the rank -> bin table; only present ranks are read.
+  auto run = runs.begin();
+  for (uint32_t& c : counts) {
+    if (c != 0) c = static_cast<uint32_t>(da->bins.BinOf((run++)->value));
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    uint32_t k = ranks[rows[i]];
+    if (k != ValueOrderIndex::kNullRank) {
+      da->codes[i] = static_cast<int32_t>(counts[k]);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<DiscretizedTable> DiscretizedTable::Build(
     const TableSlice& slice, const DiscretizerOptions& options) {
   if (slice.table == nullptr) {
@@ -39,24 +82,7 @@ Result<DiscretizedTable> DiscretizedTable::Build(
         da.codes[i] = remap[code];
       }
     } else {
-      std::vector<double> vals;
-      vals.reserve(slice.rows.size());
-      for (uint32_t r : slice.rows) {
-        if (!col.IsNullAt(r)) vals.push_back(col.NumberAt(r));
-      }
-      if (!vals.empty()) {
-        auto bins = BuildBins(vals, options.max_numeric_bins, options.strategy);
-        if (!bins.ok()) return bins.status();
-        da.bins = std::move(bins).value();
-        da.labels.reserve(da.bins.num_bins());
-        for (size_t b = 0; b < da.bins.num_bins(); ++b) {
-          da.labels.push_back(da.bins.LabelOf(b));
-        }
-        for (size_t i = 0; i < slice.rows.size(); ++i) {
-          uint32_t r = slice.rows[i];
-          if (!col.IsNullAt(r)) da.codes[i] = da.bins.BinOf(col.NumberAt(r));
-        }
-      }
+      DBX_RETURN_IF_ERROR(BinNumeric(col, slice.rows, options, &da));
     }
     out.attrs_.push_back(std::move(da));
   }

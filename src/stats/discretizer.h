@@ -49,7 +49,9 @@ struct DiscreteAttr {
 class DiscretizedTable {
  public:
   /// Discretizes every attribute of `slice`. Attributes whose slice is
-  /// entirely null get cardinality 0 and all-null codes.
+  /// entirely null get cardinality 0 and all-null codes. Numeric attributes
+  /// are binned through their column's ValueOrderIndex, which the first
+  /// call on a table builds.
   [[nodiscard]] static Result<DiscretizedTable> Build(const TableSlice& slice,
                                         const DiscretizerOptions& options);
 

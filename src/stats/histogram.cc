@@ -49,24 +49,13 @@ std::string Bins::LabelOf(size_t i) const {
 
 namespace {
 
-std::vector<double> CleanSorted(const std::vector<double>& values) {
-  std::vector<double> v;
-  v.reserve(values.size());
-  for (double x : values) {
-    if (!std::isnan(x)) v.push_back(x);
-  }
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 Bins SingleBin(double lo, double hi) {
   Bins b;
   b.edges = {lo, hi};
   return b;
 }
 
-Bins EquiWidth(const std::vector<double>& sorted, size_t max_bins) {
-  double lo = sorted.front(), hi = sorted.back();
+Bins EquiWidth(double lo, double hi, size_t max_bins) {
   Bins b;
   b.edges.reserve(max_bins + 1);
   for (size_t i = 0; i <= max_bins; ++i) {
@@ -76,53 +65,47 @@ Bins EquiWidth(const std::vector<double>& sorted, size_t max_bins) {
   return b;
 }
 
-Bins EquiDepth(const std::vector<double>& sorted, size_t max_bins) {
+// Edges at the order statistics sorted[i * n / max_bins], read off the runs'
+// cumulative counts (the indices ascend with i, so one forward walk).
+Bins EquiDepth(const std::vector<ValueRun>& runs, size_t max_bins) {
+  size_t n = 0;
+  for (const ValueRun& r : runs) n += r.count;
+  const double lo = runs.front().value, hi = runs.back().value;
   Bins b;
-  b.edges.push_back(sorted.front());
-  size_t n = sorted.size();
+  b.edges.push_back(lo);
+  size_t run = 0, before = 0;  // rows in runs[0, run)
   for (size_t i = 1; i < max_bins; ++i) {
-    size_t idx = i * n / max_bins;
-    double e = sorted[std::min(idx, n - 1)];
+    size_t idx = std::min(i * n / max_bins, n - 1);
+    while (before + runs[run].count <= idx) before += runs[run++].count;
+    double e = runs[run].value;
     if (e > b.edges.back()) b.edges.push_back(e);
   }
-  if (sorted.back() > b.edges.back()) {
-    b.edges.push_back(sorted.back());
-  } else {
-    // All values equal past some point; widen the last edge slightly so the
-    // bin is non-degenerate.
-    b.edges.push_back(b.edges.back());
-  }
+  // The last edge is the maximum. When the walk above already ended on the
+  // maximum, that edge is duplicated rather than widened: the last bin is
+  // the degenerate [max, max], which BinOf gives exactly the rows equal to
+  // the maximum.
+  b.edges.push_back(hi > b.edges.back() ? hi : b.edges.back());
   // Collapse a fully degenerate result into one bin.
   if (b.edges.size() < 2 || b.edges.front() == b.edges.back()) {
-    return SingleBin(sorted.front(), sorted.back());
+    return SingleBin(lo, hi);
   }
   return b;
 }
 
 // V-optimal histogram via dynamic programming on distinct values, minimizing
 // total within-bucket SSE (Jagadish et al., VLDB'98 flavor).
-Bins VOptimal(const std::vector<double>& sorted, size_t max_bins) {
-  // Distinct values with multiplicities.
-  std::vector<double> vals;
-  std::vector<double> counts;
-  for (double x : sorted) {
-    if (vals.empty() || x != vals.back()) {
-      vals.push_back(x);
-      counts.push_back(1);
-    } else {
-      counts.back() += 1;
-    }
-  }
-  size_t n = vals.size();
+Bins VOptimal(const std::vector<ValueRun>& runs, size_t max_bins) {
+  size_t n = runs.size();
   size_t b = std::min(max_bins, n);
-  if (b <= 1 || n <= 1) return SingleBin(sorted.front(), sorted.back());
+  if (b <= 1 || n <= 1) return SingleBin(runs.front().value, runs.back().value);
 
   // Prefix sums of weight, weighted value, weighted value^2.
   std::vector<double> w(n + 1, 0), s1(n + 1, 0), s2(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    w[i + 1] = w[i] + counts[i];
-    s1[i + 1] = s1[i] + counts[i] * vals[i];
-    s2[i + 1] = s2[i] + counts[i] * vals[i] * vals[i];
+    const double c = static_cast<double>(runs[i].count), v = runs[i].value;
+    w[i + 1] = w[i] + c;
+    s1[i + 1] = s1[i] + c * v;
+    s2[i + 1] = s2[i] + c * v * v;
   }
   auto sse = [&](size_t i, size_t j) {  // values [i, j), i < j
     double cw = w[j] - w[i];
@@ -149,6 +132,12 @@ Bins VOptimal(const std::vector<double>& sorted, size_t max_bins) {
     }
   }
 
+  // An infinite value makes every bucket's SSE NaN (inf - inf), so no
+  // partition gets a finite cost and there are no cut points to recover.
+  if (!(dp[b][n] < kInf)) {
+    return SingleBin(runs.front().value, runs.back().value);
+  }
+
   // Recover cut points (indices into distinct values).
   std::vector<size_t> cuts;  // descending
   size_t j = n;
@@ -163,40 +152,60 @@ Bins VOptimal(const std::vector<double>& sorted, size_t max_bins) {
   bins.edges.reserve(cuts.size());
   for (size_t c = 0; c < cuts.size(); ++c) {
     if (c == 0) {
-      bins.edges.push_back(vals.front());
+      bins.edges.push_back(runs.front().value);
     } else if (cuts[c] >= n) {
-      bins.edges.push_back(vals.back());
+      bins.edges.push_back(runs.back().value);
     } else {
       // Edge halfway between the last value of this bucket and the first of
       // the next, so BinOf assigns values unambiguously.
-      bins.edges.push_back(0.5 * (vals[cuts[c] - 1] + vals[cuts[c]]));
+      bins.edges.push_back(
+          0.5 * (runs[cuts[c] - 1].value + runs[cuts[c]].value));
     }
   }
   // Deduplicate any equal edges created by halfway collisions.
   bins.edges.erase(std::unique(bins.edges.begin(), bins.edges.end()),
                    bins.edges.end());
-  if (bins.edges.size() < 2) return SingleBin(sorted.front(), sorted.back());
+  if (bins.edges.size() < 2) {
+    return SingleBin(runs.front().value, runs.back().value);
+  }
   return bins;
 }
 
 }  // namespace
 
-Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
-                       BinStrategy strategy) {
+Result<Bins> BuildBinsFromRuns(const std::vector<ValueRun>& runs,
+                               size_t max_bins, BinStrategy strategy) {
   if (max_bins == 0) return Status::InvalidArgument("max_bins must be >= 1");
-  std::vector<double> sorted = CleanSorted(values);
-  if (sorted.empty()) {
+  if (runs.empty()) {
     return Status::InvalidArgument("no non-null values to bin");
   }
-  if (sorted.front() == sorted.back() || max_bins == 1) {
-    return SingleBin(sorted.front(), sorted.back());
-  }
+  const double lo = runs.front().value, hi = runs.back().value;
+  if (lo == hi || max_bins == 1) return SingleBin(lo, hi);
   switch (strategy) {
-    case BinStrategy::kEquiWidth: return EquiWidth(sorted, max_bins);
-    case BinStrategy::kEquiDepth: return EquiDepth(sorted, max_bins);
-    case BinStrategy::kVOptimal: return VOptimal(sorted, max_bins);
+    case BinStrategy::kEquiWidth: return EquiWidth(lo, hi, max_bins);
+    case BinStrategy::kEquiDepth: return EquiDepth(runs, max_bins);
+    case BinStrategy::kVOptimal: return VOptimal(runs, max_bins);
   }
   return Status::InvalidArgument("unknown bin strategy");
+}
+
+Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
+                       BinStrategy strategy) {
+  std::vector<double> sorted;
+  sorted.reserve(values.size());
+  for (double x : values) {
+    if (!std::isnan(x)) sorted.push_back(x + 0.0);  // -0.0 becomes 0.0
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<ValueRun> runs;
+  for (double x : sorted) {
+    if (runs.empty() || x != runs.back().value) {
+      runs.push_back({x, 1});
+    } else {
+      ++runs.back().count;
+    }
+  }
+  return BuildBinsFromRuns(runs, max_bins, strategy);
 }
 
 }  // namespace dbx

@@ -37,10 +37,26 @@ struct Bins {
   std::string LabelOf(size_t i) const;
 };
 
-/// Builds bins over `values` (NaNs ignored). `max_bins` >= 1. Degenerate
-/// inputs (empty, or all-equal values) yield a single bin.
-/// V-optimal runs an O(n'^2 * b) DP over the distinct sorted values n' — use
-/// equi-depth when the domain is large and latency matters.
+/// One distinct value of a numeric domain and how many times it occurs.
+struct ValueRun {
+  double value = 0;
+  size_t count = 0;
+};
+
+/// Builds bins over `runs`: the distinct non-NaN values in strictly
+/// ascending order, each with its multiplicity (>= 1). `max_bins` >= 1.
+/// Degenerate inputs (all-equal values) yield a single bin; no runs is
+/// InvalidArgument. Every strategy reads only the runs, so callers that
+/// already know the value order (a column's ValueOrderIndex) never sort.
+/// V-optimal runs an O(n'^2 * b) DP over the n' runs — use equi-depth when
+/// the domain is large and latency matters.
+[[nodiscard]]
+Result<Bins> BuildBinsFromRuns(const std::vector<ValueRun>& runs,
+                               size_t max_bins, BinStrategy strategy);
+
+/// Builds bins over `values` (NaNs ignored): sorts them, run-length encodes
+/// equal values (a mix of -0.0 and 0.0 is one run of 0.0) and calls
+/// BuildBinsFromRuns. Errors when no value is left.
 [[nodiscard]]
 Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
                        BinStrategy strategy);
