@@ -2,9 +2,10 @@
 # Static-analysis gate (DESIGN.md §11):
 #
 #   1. Build dbx_lint and run it over src/ bench/ tests/ — any finding fails.
-#   2. Self-test: seed one violation per rule class (R1-R4, R6) into a
-#      scratch tree and assert dbx_lint catches each. A linter that silently
-#      stopped matching would otherwise pass stage 1 forever.
+#   2. Self-test: seed at least one violation per rule (R1-R6 and the
+#      suppression meta rule) into a scratch tree and assert dbx_lint reports
+#      each in its own file. A linter that silently stopped matching would
+#      otherwise pass stage 1 forever.
 #   3. clang-tidy over compile_commands.json when the tool exists — findings
 #      FAIL the stage (WarningsAsErrors in .clang-tidy). The CI image is
 #      gcc-only, so absence is an announced skip, not a failure.
@@ -67,22 +68,65 @@ class Registry {
 };
 EOF
 
+# R1's ordering half: a range-for over an unordered_map member.
+cat > "$SEED_DIR/src/core/seed_r1_iter.cc" <<'EOF'
+#include <unordered_map>
+class Index {
+ public:
+  int Sum() const {
+    int s = 0;
+    for (const auto& kv : by_id_) s += kv.second;
+    return s;
+  }
+ private:
+  std::unordered_map<int, int> by_id_;
+};
+EOF
+# R2's call-site half: a [[nodiscard]] Status from a header called bare.
+cat > "$SEED_DIR/src/core/seed_r2_discard.h" <<'EOF'
+#include "src/util/status.h"
+namespace dbx {
+[[nodiscard]] Status FlushAll();
+}  // namespace dbx
+EOF
+cat > "$SEED_DIR/src/core/seed_r2_discard.cc" <<'EOF'
+#include "src/core/seed_r2_discard.h"
+namespace dbx {
+void Shutdown() {
+  FlushAll();
+}
+}  // namespace dbx
+EOF
+# R5: a raw diagnostic stream in library code.
+cat > "$SEED_DIR/src/core/seed_r5.cc" <<'EOF'
+#include <iostream>
+void Warn() { std::cerr << "bad input"; }
+EOF
+# Meta: an allow that names an unknown rule and gives no reason.
+cat > "$SEED_DIR/src/core/seed_suppression.cc" <<'EOF'
+int Answer() { return 42; }  // dbx-lint: allow(no-such-rule)
+EOF
+
 expect_rule() {  # expect_rule <rule> <relpath>
   local rule="$1" file="$2" out
   out=$("$LINT" --root "$SEED_DIR" "${file%%/*}" 2>/dev/null) && \
     fail "self-test: seeded $rule violation in $file not caught"
-  echo "$out" | grep -q "\[$rule\]" || \
+  echo "$out" | grep -q "^$file:[0-9]*: \[$rule\]" || \
     fail "self-test: expected [$rule] finding for $file, got: $out"
   echo "   caught [$rule] in $file"
 }
 
 expect_rule determinism      src/core/seed_r1.cc
+expect_rule unordered-iter   src/core/seed_r1_iter.cc
 expect_rule nodiscard        src/core/seed_r2.h
+expect_rule discarded-status src/core/seed_r2_discard.cc
 expect_rule lock-discipline  src/core/seed_r3.cc
 expect_rule layering         src/util/seed_r4.cc
 expect_rule layering         src/query/seed_r4_server.cc
 expect_rule layering         src/core/seed_r4_storage.cc
+expect_rule raw-stream       src/core/seed_r5.cc
 expect_rule guarded-by       src/core/seed_r6.h
+expect_rule suppression      src/core/seed_suppression.cc
 rm -rf "$SEED_DIR"/src/core/* "$SEED_DIR"/src/util/* "$SEED_DIR"/src/query/*
 
 if command -v clang-tidy >/dev/null 2>&1; then

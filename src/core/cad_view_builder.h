@@ -140,12 +140,13 @@ struct CadViewOptions {
   uint64_t trace_parent = 0;
 };
 
-/// Pre-computed pivot partitions: for each pivot code of the table's (full)
-/// discretized domain, the member rows as ascending positions into the
-/// DiscretizedTable being built over. Pairs are sorted by code. Supplying a
-/// seed lets a caller that already knows the partition membership (e.g. the
-/// view cache refining a previous selection context) skip the pivot-column
-/// rescan; the seed MUST list exactly the rows a scan would find, or the
+/// Pivot partitions: for each pivot code of the table's (full) discretized
+/// domain, the member rows as ascending positions into the DiscretizedTable
+/// being built over. Pairs are sorted by code. Every build plans its rows and
+/// partitions from a seed: BuildShardedPartitionSeed (src/core/sharded.h)
+/// scans one when the caller gives none. A caller that already knows the
+/// membership (e.g. the view cache refining a previous selection context)
+/// passes its own; it MUST list exactly the rows that scan would find, or the
 /// byte-identical determinism contract is void.
 struct PartitionSeed {
   std::vector<std::pair<int32_t, std::vector<size_t>>> members_by_code;
@@ -167,10 +168,11 @@ struct CadViewBuildExtras {
 
 /// As BuildCadView, but reuses a pre-built discretization of the same slice
 /// (the interactive TPFacet session caches it between pivot switches).
-/// With a `seed`, pivot planning and partitioning use the supplied member
-/// lists instead of scanning the pivot column — output is byte-identical to
-/// an unseeded build for any valid seed. `extras`, when non-null, receives
-/// the partitions of this build (codes >= 0 with members, sorted by code).
+/// Without a `seed` the build scans the pivot column into one; with a seed it
+/// plans and partitions from the supplied member lists (copied), and the
+/// output is byte-identical to an unseeded build for any valid seed.
+/// `extras`, when non-null, receives the partitions of this build (codes >= 0
+/// with members, sorted by code).
 [[nodiscard]]
 Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
                                             const CadViewOptions& options,

@@ -2,15 +2,26 @@
 
 #include <algorithm>
 #include <iterator>
+#include <vector>
 
+#include "src/util/shard.h"
 #include "src/util/thread_pool.h"
 
 namespace dbx {
+namespace {
 
+/// One row range's view of the pivot column: for each pivot code, the member
+/// row positions inside the range, ascending. `members[c]` indexes code c
+/// over the pivot's full discretized cardinality.
+struct PartitionSketch {
+  std::vector<std::vector<size_t>> members;
+};
+
+/// Scans `pivot_codes[range.begin, range.end)` into a sketch. Negative codes
+/// (nulls) are skipped.
 PartitionSketch ScanPartitionSketch(const std::vector<int32_t>& pivot_codes,
                                     size_t cardinality, ShardRange range) {
   PartitionSketch sketch;
-  sketch.range = range;
   sketch.members.resize(cardinality);
   size_t end = std::min(range.end, pivot_codes.size());
   for (size_t i = range.begin; i < end; ++i) {
@@ -22,15 +33,14 @@ PartitionSketch ScanPartitionSketch(const std::vector<int32_t>& pivot_codes,
   return sketch;
 }
 
-Status MergePartitionSketch(PartitionSketch* into,
-                            const PartitionSketch& from) {
-  if (into->members.size() != from.members.size()) {
-    return Status::InvalidArgument("partition sketch cardinality mismatch");
-  }
+/// Folds `from` into `into` (same cardinality) with a per-code sorted merge;
+/// for sketches over disjoint ranges the result equals one scan of their
+/// union.
+void MergePartitionSketch(PartitionSketch* into, PartitionSketch&& from) {
   for (size_t c = 0; c < into->members.size(); ++c) {
     if (from.members[c].empty()) continue;
     if (into->members[c].empty()) {
-      into->members[c] = from.members[c];
+      into->members[c] = std::move(from.members[c]);
       continue;
     }
     std::vector<size_t> merged;
@@ -40,21 +50,21 @@ Status MergePartitionSketch(PartitionSketch* into,
                std::back_inserter(merged));
     into->members[c] = std::move(merged);
   }
-  into->range.begin = std::min(into->range.begin, from.range.begin);
-  into->range.end = std::max(into->range.end, from.range.end);
-  return Status::OK();
 }
 
-PartitionSeed SeedFromSketch(const PartitionSketch& sketch) {
+/// The sketch as a PartitionSeed: codes ascending, non-empty members only.
+PartitionSeed SeedFromSketch(PartitionSketch&& sketch) {
   PartitionSeed seed;
   for (size_t c = 0; c < sketch.members.size(); ++c) {
     if (!sketch.members[c].empty()) {
       seed.members_by_code.emplace_back(static_cast<int32_t>(c),
-                                        sketch.members[c]);
+                                        std::move(sketch.members[c]));
     }
   }
   return seed;
 }
+
+}  // namespace
 
 Result<PartitionSeed> BuildShardedPartitionSeed(const DiscretizedTable& dt,
                                                 size_t pivot_attr_index,
@@ -67,20 +77,21 @@ Result<PartitionSeed> BuildShardedPartitionSeed(const DiscretizedTable& dt,
   size_t shards = EffectiveShardCount(dt.num_rows(), sharding.num_shards,
                                       sharding.min_rows_per_shard);
   std::vector<ShardRange> ranges = MakeShardRanges(dt.num_rows(), shards);
-  // Each shard fills its own slot; the sequential merge below runs in shard
-  // order, though MergePartitionSketch is order-insensitive anyway.
+  // Each range fills its own slot, then the slots merge in range order. No
+  // more workers than ranges: a one-range scan runs inline, off the pool.
   std::vector<PartitionSketch> sketches(ranges.size());
   DBX_RETURN_IF_ERROR(ParallelFor(
-      num_threads, 0, ranges.size(), 1, [&](size_t s) -> Status {
+      std::min(num_threads, ranges.size()), 0, ranges.size(), 1,
+      [&](size_t s) -> Status {
         sketches[s] =
             ScanPartitionSketch(pivot.codes, pivot.cardinality(), ranges[s]);
         return Status::OK();
       }));
   PartitionSketch merged = std::move(sketches[0]);
   for (size_t s = 1; s < sketches.size(); ++s) {
-    DBX_RETURN_IF_ERROR(MergePartitionSketch(&merged, sketches[s]));
+    MergePartitionSketch(&merged, std::move(sketches[s]));
   }
-  return SeedFromSketch(merged);
+  return SeedFromSketch(std::move(merged));
 }
 
 }  // namespace dbx

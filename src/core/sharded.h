@@ -1,54 +1,25 @@
 // Copyright (c) DBExplorer reproduction authors.
-// Sharded pivot partitioning for out-of-core-scale CAD View builds
-// (DESIGN.md §13). The table's rows are split into contiguous ranges; each
-// shard scans its range into a PartitionSketch (per-pivot-code member lists),
-// and the sketches merge associatively into the exact PartitionSeed a
-// single-pass scan would produce. The builder then continues through the
-// seeded path, which is already byte-identical to the scan path — so the
-// finished view's bytes are independent of the shard count, exactly as they
-// are independent of the thread count.
+// Pivot partitioning for CAD View builds (DESIGN.md §13). Every build without
+// a caller-given PartitionSeed gets its seed here: the table's rows are split
+// into contiguous ranges, each range is scanned into per-pivot-code member
+// lists, and the lists merge into the exact seed a single-pass scan would
+// produce. One range is the unsharded build, so the finished view's bytes are
+// independent of the shard count, exactly as they are of the thread count.
 
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "src/core/cad_view_builder.h"
 #include "src/stats/discretizer.h"
 #include "src/util/result.h"
-#include "src/util/shard.h"
 
 namespace dbx {
 
-/// One shard's view of the pivot column: for each pivot code, the member row
-/// positions inside `range`, ascending. `members[c]` indexes code c over the
-/// pivot's full discretized cardinality (empty for codes absent from the
-/// shard).
-struct PartitionSketch {
-  ShardRange range;
-  std::vector<std::vector<size_t>> members;
-};
-
-/// Scans `pivot_codes[range.begin, range.end)` into a sketch. Negative codes
-/// (nulls) are skipped, matching the unsharded partition scan.
-PartitionSketch ScanPartitionSketch(const std::vector<int32_t>& pivot_codes,
-                                    size_t cardinality, ShardRange range);
-
-/// Folds `from` into `into` with a per-code sorted merge. For sketches over
-/// disjoint row ranges the result depends only on the union of the ranges —
-/// order-insensitive and associative — and equals a single scan of the
-/// combined range. Fails when the cardinalities differ.
-[[nodiscard]] Status MergePartitionSketch(PartitionSketch* into,
-                                          const PartitionSketch& from);
-
-/// The sketch as a PartitionSeed: codes ascending, non-empty members only —
-/// exactly the lists BuildCadViewFromDiscretized's pivot-column scan would
-/// collect.
-PartitionSeed SeedFromSketch(const PartitionSketch& sketch);
-
-/// Scans the pivot column of `dt` shard-parallel (one task per shard on the
-/// shared pool) and merges the per-shard sketches in shard order. The result
-/// is identical to a single-pass scan for any shard or thread count.
+/// Scans the pivot column of `dt` over EffectiveShardCount(sharding) row
+/// ranges (one task per range on the shared pool) and merges the per-range
+/// member lists in range order: codes ascending, non-empty members only, each
+/// list ascending. The result is identical for any shard or thread count.
 [[nodiscard]] Result<PartitionSeed> BuildShardedPartitionSeed(
     const DiscretizedTable& dt, size_t pivot_attr_index,
     const ShardOptions& sharding, size_t num_threads);

@@ -464,7 +464,9 @@ PartitionSeed IntersectPartitions(const CachedPartitions& base,
         ++j;
       }
     }
-    if (!members.empty()) out.members_by_code.emplace_back(code, members);
+    if (!members.empty()) {
+      out.members_by_code.emplace_back(code, std::move(members));
+    }
   }
   return out;
 }

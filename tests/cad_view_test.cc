@@ -20,7 +20,11 @@
 #include "src/data/synthetic.h"
 #include "src/data/used_cars.h"
 #include "src/explorer/tpfacet_session.h"
+#include "src/obs/metrics.h"
 #include "src/stats/feature_selection.h"
+#include "src/stats/sampling.h"
+#include "src/util/hash.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace dbx {
@@ -308,6 +312,62 @@ TEST_F(CadViewTest, SamplingKeepsTopCompareAttribute) {
   EXPECT_EQ(full->compare_attrs[0].name, sampled->compare_attrs[0].name);
 }
 
+// The sampled build (Optimization 1) ranks with the configured ranker, not
+// always chi-square: each auto-chosen relevance is the RankFeatures score over
+// the builder's own row sample.
+TEST_F(CadViewTest, SampledRankingHonoursRanker) {
+  Table table = GenerateMushrooms(2000);
+  CadViewOptions o;
+  o.pivot_attr = "Class";
+  o.max_compare_attrs = 4;
+  o.iunits_per_value = 3;
+  o.seed = 7;
+  o.feature_selection.ranker = FeatureRanker::kMutualInformation;
+  o.feature_selection_sample = 600;
+  auto dt = DiscretizedTable::Build(TableSlice::All(table), o.discretizer);
+  ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+
+  Counter* rankings =
+      MetricsRegistry::Global()->GetCounter("dbx_stats_rank_features_total");
+  const uint64_t rankings_before = rankings->Value();
+  auto view = BuildCadViewFromDiscretized(*dt, o);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_GT(rankings->Value(), rankings_before);
+
+  // The builder's sample: uniform row positions drawn from Rng(seed).
+  std::vector<uint32_t> positions(dt->num_rows());
+  for (uint32_t i = 0; i < positions.size(); ++i) positions[i] = i;
+  Rng rng(o.seed);
+  DiscretizedTable sample =
+      dt->Project(SampleRows(positions, o.feature_selection_sample, &rng));
+  const size_t pivot = *sample.IndexOf("Class");
+  std::vector<int32_t> cls(sample.num_rows(), -1);
+  for (size_t i = 0; i < cls.size(); ++i) {
+    for (size_t v = 0; v < view->rows.size(); ++v) {
+      if (view->rows[v].pivot_code == sample.attr(pivot).codes[i]) {
+        cls[i] = static_cast<int32_t>(v);
+      }
+    }
+  }
+  std::vector<size_t> candidates;
+  for (size_t a = 0; a < sample.num_attrs(); ++a) {
+    if (a != pivot && sample.attr(a).cardinality() > 0) candidates.push_back(a);
+  }
+  auto ranked = RankFeatures(sample, cls, view->rows.size(), candidates,
+                             o.feature_selection);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+
+  ASSERT_FALSE(view->compare_attrs.empty());
+  for (const CompareAttribute& ca : view->compare_attrs) {
+    auto fs = std::find_if(
+        ranked->begin(), ranked->end(),
+        [&](const FeatureScore& f) { return f.attr_index == ca.attr_index; });
+    ASSERT_NE(fs, ranked->end()) << ca.name;
+    EXPECT_EQ(ca.relevance, fs->score) << ca.name;
+    EXPECT_EQ(ca.p_value, fs->p_value) << ca.name;
+  }
+}
+
 TEST_F(CadViewTest, ClusteringSampleStillYieldsIUnits) {
   CadViewOptions o = BaseOptions();
   o.clustering_sample = 200;
@@ -478,8 +538,8 @@ TEST(CadViewDeterminismTest, MushroomByteIdenticalAcrossShardGrid) {
 }
 
 TEST(CadViewDeterminismTest, SampledFeatureSelectionPathByteIdentical) {
-  // feature_selection_sample routes through the builder's sampled scoring
-  // loop, which is itself parallelized — cover it explicitly.
+  // feature_selection_sample ranks a projected row sample through
+  // RankFeatures — cover it explicitly.
   Table table = GenerateMushrooms(2000);
   CadViewOptions o;
   o.pivot_attr = "Class";
@@ -488,6 +548,86 @@ TEST(CadViewDeterminismTest, SampledFeatureSelectionPathByteIdentical) {
   o.seed = 7;
   o.feature_selection_sample = 600;
   ExpectByteIdenticalAcrossThreadCounts(table, o);
+}
+
+// Build goldens: the FNV-1a of SerializeStable for builds that take each
+// pivot-planning and ranking branch (default and explicit pivot values, a
+// numeric pivot, sampled ranking, sampled clustering, a caller-given seed).
+// The values pin the view bytes independently of the byte-identity suites,
+// which compare the build path with itself.
+uint64_t ViewHash(const CadView& view) {
+  const std::string bytes = SerializeStable(view);
+  return Fnv1aAppend(kFnv1aOffset, bytes.data(), bytes.size());
+}
+
+TEST(CadViewGoldenTest, BuildsMatchRecordedHashes) {
+  Table table = GenerateUsedCars(4000, 3);
+  CadViewOptions base;
+  base.pivot_attr = "Make";
+  base.max_compare_attrs = 4;
+  base.iunits_per_value = 3;
+  base.seed = 5;
+
+  CadViewOptions explicit_values = base;
+  explicit_values.pivot_values = {"Ford", "Jeep", "Ford", "NoSuchMake"};
+  CadViewOptions numeric_pivot = base;
+  numeric_pivot.pivot_attr = "Year";
+  CadViewOptions sampled_ranking = base;
+  sampled_ranking.feature_selection.ranker = FeatureRanker::kChiSquare;
+  sampled_ranking.feature_selection_sample = 800;
+  CadViewOptions sampled_clustering = base;
+  sampled_clustering.clustering_sample = 200;
+
+  const std::vector<std::pair<const char*, CadViewOptions>> cases = {
+      {"all pivot values", base},
+      {"explicit values", explicit_values},
+      {"numeric pivot", numeric_pivot},
+      {"sampled ranking", sampled_ranking},
+      {"sampled clustering", sampled_clustering},
+  };
+  const uint64_t kGolden[] = {
+      0x2efbc88c16d53929ULL,
+      0x95ffe654743a8c48ULL,
+      0x5c9de37589b0d319ULL,
+      0x9521e86259381b5aULL,
+      0xe45501a6ebe837b5ULL,
+  };
+  for (size_t threads : {size_t{1}, TestThreads(4)}) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      CadViewOptions o = cases[i].second;
+      o.num_threads = threads;
+      auto view = BuildCadView(TableSlice::All(table), o);
+      ASSERT_TRUE(view.ok()) << cases[i].first << ": "
+                             << view.status().ToString();
+      EXPECT_EQ(ViewHash(*view), kGolden[i])
+          << cases[i].first << " num_threads=" << threads;
+    }
+  }
+
+  // Seeded: the partitions of an all-values build seed an explicit-values
+  // build over the same discretization.
+  auto dt = DiscretizedTable::Build(TableSlice::All(table), base.discretizer);
+  ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+  CadViewBuildExtras extras;
+  ASSERT_TRUE(BuildCadViewFromDiscretized(*dt, base, nullptr, &extras).ok());
+  CadViewOptions seeded = base;
+  seeded.pivot_values = {"Jeep", "Toyota", "Ford"};
+  auto view = BuildCadViewFromDiscretized(*dt, seeded, &extras.partitions);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(ViewHash(*view), 0x5fcae51b4e2ab343ULL);
+}
+
+TEST(CadViewGoldenTest, ErrorTextIsStable) {
+  Table table = GenerateUsedCars(4000, 3);
+  CadViewOptions o;
+  o.pivot_attr = "Make";
+  EXPECT_EQ(BuildCadView(TableSlice{&table, {}}, o).status().ToString(),
+            "InvalidArgument: pivot attribute 'Make' has no values in the "
+            "fragment");
+
+  o.pivot_attr = "NoSuchAttr";
+  EXPECT_EQ(BuildCadView(TableSlice::All(table), o).status().ToString(),
+            "NotFound: pivot attribute 'NoSuchAttr' not in table");
 }
 
 TEST(CadViewDeterminismTest, TracingDoesNotPerturbBytes) {
