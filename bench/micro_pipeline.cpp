@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
 #include <optional>
 
 #include "src/cluster/kmeans.h"
@@ -91,14 +92,16 @@ BENCHMARK(BM_DiscretizeFirstUse)->Arg(1000)->Arg(5000)->Arg(20000)->Arg(40000);
 
 void BM_VOptimalBinning(benchmark::State& state) {
   const Table& cars = Cars();
-  std::vector<double> prices;
-  auto col = *cars.ColByName("Price");
-  for (size_t r = 0; r < static_cast<size_t>(state.range(0)); ++r) {
-    prices.push_back(col->NumberAt(r));
-  }
+  std::shared_ptr<const ValueOrderIndex> index =
+      (*cars.ColByName("Price"))->OrderIndex();
+  RowSet rows(static_cast<size_t>(state.range(0)));
+  std::iota(rows.begin(), rows.end(), 0u);
+  const DiscretizerOptions options{8, BinStrategy::kVOptimal};
   for (auto _ : state) {
-    auto bins = BuildBins(prices, 8, BinStrategy::kVOptimal);
-    benchmark::DoNotOptimize(bins);
+    DiscreteAttr price;
+    Status binned = BinNumeric(*index, rows, options, &price);
+    benchmark::DoNotOptimize(binned);
+    benchmark::DoNotOptimize(price);
   }
 }
 BENCHMARK(BM_VOptimalBinning)->Arg(1000)->Arg(10000);

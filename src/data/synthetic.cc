@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "src/data/used_cars.h"
 #include "src/util/hash.h"
@@ -295,11 +296,16 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
     }
   }
 
-  // Numeric bins: from every value (exact mode, concatenating the per-shard
-  // vectors in shard order = row order) or from a deterministic strided row
-  // sample — shard-independent either way, so the bins (and hence every
-  // code) are byte-identical for any shard count.
-  std::array<Bins, kNumAttrs> bins;
+  // Numeric bins through BinNumeric, DiscretizedTable::Build's binning, over
+  // a value-order index of every value (exact mode, the per-shard vectors
+  // concatenated in shard order = row order) or of a deterministic strided
+  // row sample — shard-independent either way, so the bins (and hence every
+  // code) are byte-identical for any shard count. In exact mode the index
+  // covers every row, so BinNumeric's codes are the row codes; bins from a
+  // sample cannot code rows by rank, so pass 2 codes them with BinOf.
+  RowSet rows(rows_);
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::array<DiscreteAttr, kNumAttrs> nums;
   for (size_t j = 0; j < kNumAttrs; ++j) {
     std::vector<double> vals;
     if (exact_bins) {
@@ -307,24 +313,27 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
       for (const ShardScan& scan : scans) {
         vals.insert(vals.end(), scan.values[j].begin(), scan.values[j].end());
       }
+      DBX_RETURN_IF_ERROR(BinNumeric(*ValueOrderIndex::Build(vals), rows,
+                                     options.discretizer, &nums[j]));
     } else {
       size_t stride = std::max<size_t>(1, rows_ / options.bin_sample);
       vals.reserve(rows_ / stride + 1);
       for (size_t i = 0; i < rows_; i += stride) {
         vals.push_back(NumValue(j, GenerateRow(i)));
       }
+      RowSet sample(vals.size());
+      std::iota(sample.begin(), sample.end(), 0u);
+      DBX_RETURN_IF_ERROR(BinNumeric(*ValueOrderIndex::Build(vals), sample,
+                                     options.discretizer, &nums[j]));
+      nums[j].codes.resize(rows_);
     }
-    DBX_ASSIGN_OR_RETURN(
-        bins[j], BuildBins(vals, options.discretizer.max_numeric_bins,
-                           options.discretizer.strategy));
   }
   scans.clear();
 
-  // Pass 2 (sharded): fill the code columns.
+  // Pass 2 (sharded): fill the categorical code columns, and the numeric
+  // ones when the bins came from a sample.
   std::array<std::vector<int32_t>, kCatAttrs> cat_codes;
-  std::array<std::vector<int32_t>, kNumAttrs> num_codes;
   for (size_t a = 0; a < kCatAttrs; ++a) cat_codes[a].resize(rows_);
-  for (size_t j = 0; j < kNumAttrs; ++j) num_codes[j].resize(rows_);
   DBX_RETURN_IF_ERROR(ParallelFor(
       options.num_threads, 0, ranges.size(), 1, [&](size_t s) -> Status {
         for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
@@ -332,8 +341,9 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
           for (size_t a = 0; a < kCatAttrs; ++a) {
             cat_codes[a][i] = remap[a][domains.CatCode(a, r)];
           }
+          if (exact_bins) continue;
           for (size_t j = 0; j < kNumAttrs; ++j) {
-            num_codes[j][i] = bins[j].BinOf(NumValue(j, r));
+            nums[j].codes[i] = nums[j].bins.BinOf(NumValue(j, r));
           }
         }
         return Status::OK();
@@ -342,30 +352,19 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
   Schema schema = UsedCarSchema();
   std::vector<DiscreteAttr> attrs(schema.size());
   for (size_t a = 0; a < kCatAttrs; ++a) {
-    DiscreteAttr& da = attrs[kCatCols[a]];
-    const AttributeDef& def = schema.attr(kCatCols[a]);
-    da.name = def.name;
-    da.original_type = def.type;
-    da.queriable = def.queriable;
-    da.labels = std::move(labels[a]);
-    da.codes = std::move(cat_codes[a]);
+    attrs[kCatCols[a]].labels = std::move(labels[a]);
+    attrs[kCatCols[a]].codes = std::move(cat_codes[a]);
   }
   for (size_t j = 0; j < kNumAttrs; ++j) {
-    DiscreteAttr& da = attrs[kNumCols[j]];
-    const AttributeDef& def = schema.attr(kNumCols[j]);
-    da.name = def.name;
-    da.original_type = def.type;
-    da.queriable = def.queriable;
-    da.bins = std::move(bins[j]);
-    da.labels.reserve(da.bins.num_bins());
-    for (size_t b = 0; b < da.bins.num_bins(); ++b) {
-      da.labels.push_back(da.bins.LabelOf(b));
-    }
-    da.codes = std::move(num_codes[j]);
+    attrs[kNumCols[j]] = std::move(nums[j]);
+  }
+  for (size_t c = 0; c < attrs.size(); ++c) {
+    const AttributeDef& def = schema.attr(c);
+    attrs[c].name = def.name;
+    attrs[c].original_type = def.type;
+    attrs[c].queriable = def.queriable;
   }
 
-  RowSet rows(rows_);
-  for (size_t i = 0; i < rows_; ++i) rows[i] = static_cast<uint32_t>(i);
   return DiscretizedTable::FromParts(std::move(attrs), std::move(rows));
 }
 

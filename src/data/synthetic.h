@@ -87,8 +87,9 @@ class ScaledUsedCars {
 
   /// Streams the dataset straight into a DiscretizedTable — the sharded CAD
   /// View builder's out-of-core entry point; the ~4.4 GB of Value strings a
-  /// 100M-row Table would hold are never created. With bin_sample == 0 the
-  /// result equals DiscretizedTable::Build over Materialize() exactly.
+  /// 100M-row Table would hold are never created. Numeric bins come from
+  /// BinNumeric, DiscretizedTable::Build's binning, so with bin_sample == 0
+  /// the result equals DiscretizedTable::Build over Materialize() exactly.
   [[nodiscard]] Result<DiscretizedTable> Discretize(
       const ScaledDiscretizeOptions& options) const;
 

@@ -2,24 +2,17 @@
 
 namespace dbx {
 
-namespace {
-
-// Bins one numeric column over `rows` through the column's value-order
-// index, without sorting values: counts the rows' ranks, hands the present
-// (value, count) runs to BuildBinsFromRuns and codes each row through a
-// rank -> bin table. O(rows + distinct values); gives exactly the edges and
-// codes of binning the sorted values.
-Status BinNumeric(const Column& col, const RowSet& rows,
+Status BinNumeric(const ValueOrderIndex& index, const RowSet& rows,
                   const DiscretizerOptions& options, DiscreteAttr* da) {
-  std::shared_ptr<const ValueOrderIndex> index = col.OrderIndex();
-  const std::vector<uint32_t>& ranks = index->ranks;
-  std::vector<uint32_t> counts(index->distinct.size(), 0);  // rows per rank
+  const std::vector<uint32_t>& ranks = index.ranks;
+  da->codes.assign(rows.size(), -1);
+  std::vector<uint32_t> counts(index.distinct.size(), 0);  // rows per rank
   for (uint32_t r : rows) {
     if (ranks[r] != ValueOrderIndex::kNullRank) ++counts[ranks[r]];
   }
   std::vector<ValueRun> runs;
   for (size_t k = 0; k < counts.size(); ++k) {
-    if (counts[k] != 0) runs.push_back({index->distinct[k], counts[k]});
+    if (counts[k] != 0) runs.push_back({index.distinct[k], counts[k]});
   }
   if (runs.empty()) return Status::OK();
   DBX_ASSIGN_OR_RETURN(
@@ -43,8 +36,6 @@ Status BinNumeric(const Column& col, const RowSet& rows,
   return Status::OK();
 }
 
-}  // namespace
-
 Result<DiscretizedTable> DiscretizedTable::Build(
     const TableSlice& slice, const DiscretizerOptions& options) {
   if (slice.table == nullptr) {
@@ -66,9 +57,9 @@ Result<DiscretizedTable> DiscretizedTable::Build(
     da.name = def.name;
     da.original_type = def.type;
     da.queriable = def.queriable;
-    da.codes.resize(slice.rows.size(), -1);
 
     if (def.type == AttrType::kCategorical) {
+      da.codes.resize(slice.rows.size(), -1);
       // Re-compact dictionary codes to the values present in the slice so
       // downstream contingency tables stay dense.
       std::vector<int32_t> remap(col.DictSize(), -1);
@@ -82,7 +73,8 @@ Result<DiscretizedTable> DiscretizedTable::Build(
         da.codes[i] = remap[code];
       }
     } else {
-      DBX_RETURN_IF_ERROR(BinNumeric(col, slice.rows, options, &da));
+      DBX_RETURN_IF_ERROR(
+          BinNumeric(*col.OrderIndex(), slice.rows, options, &da));
     }
     out.attrs_.push_back(std::move(da));
   }

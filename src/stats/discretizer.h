@@ -45,21 +45,34 @@ struct DiscreteAttr {
   size_t cardinality() const { return labels.size(); }
 };
 
+/// Bins a numeric attribute over `rows` (row ids into `index`, the value-
+/// order index of its values) — the one place values become Bins. Counts
+/// the rows' ranks, hands the present (value, count) runs to
+/// BuildBinsFromRuns and codes each row through a rank -> bin table, so
+/// nothing is sorted: O(rows + distinct values). Sets `da`'s bins and
+/// labels, and its codes parallel to `rows`; when every row is null, `da`
+/// gets cardinality 0 and all-null codes.
+[[nodiscard]] Status BinNumeric(const ValueOrderIndex& index,
+                                const RowSet& rows,
+                                const DiscretizerOptions& options,
+                                DiscreteAttr* da);
+
 /// A table slice with every attribute reduced to a small discrete domain.
 class DiscretizedTable {
  public:
   /// Discretizes every attribute of `slice`. Attributes whose slice is
   /// entirely null get cardinality 0 and all-null codes. Numeric attributes
-  /// are binned through their column's ValueOrderIndex, which the first
-  /// call on a table builds.
+  /// are binned by BinNumeric through their column's ValueOrderIndex, which
+  /// the first call on a table builds.
   [[nodiscard]] static Result<DiscretizedTable> Build(const TableSlice& slice,
                                         const DiscretizerOptions& options);
 
   /// Assembles a discretization directly from per-attribute parts. The
-  /// streaming generators (ScaledUsedCars in src/data/synthetic.h) compute
-  /// codes shard-parallel without ever materializing a Value table; `rows`
-  /// indexes the virtual base table and every attribute's codes must be
-  /// parallel to it. Fails on a length mismatch.
+  /// streaming generator (ScaledUsedCars in src/data/synthetic.h) codes rows
+  /// shard-parallel, with numeric bins from BinNumeric, without ever
+  /// materializing a Value table; `rows` indexes the virtual base table and
+  /// every attribute's codes must be parallel to it. Fails on a length
+  /// mismatch.
   [[nodiscard]] static Result<DiscretizedTable> FromParts(
       std::vector<DiscreteAttr> attrs, RowSet rows);
 

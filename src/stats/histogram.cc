@@ -189,23 +189,4 @@ Result<Bins> BuildBinsFromRuns(const std::vector<ValueRun>& runs,
   return Status::InvalidArgument("unknown bin strategy");
 }
 
-Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
-                       BinStrategy strategy) {
-  std::vector<double> sorted;
-  sorted.reserve(values.size());
-  for (double x : values) {
-    if (!std::isnan(x)) sorted.push_back(x + 0.0);  // -0.0 becomes 0.0
-  }
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<ValueRun> runs;
-  for (double x : sorted) {
-    if (runs.empty() || x != runs.back().value) {
-      runs.push_back({x, 1});
-    } else {
-      ++runs.back().count;
-    }
-  }
-  return BuildBinsFromRuns(runs, max_bins, strategy);
-}
-
 }  // namespace dbx

@@ -46,20 +46,14 @@ struct ValueRun {
 /// Builds bins over `runs`: the distinct non-NaN values in strictly
 /// ascending order, each with its multiplicity (>= 1). `max_bins` >= 1.
 /// Degenerate inputs (all-equal values) yield a single bin; no runs is
-/// InvalidArgument. Every strategy reads only the runs, so callers that
-/// already know the value order (a column's ValueOrderIndex) never sort.
+/// InvalidArgument. Every strategy reads only the runs, which BinNumeric
+/// (src/stats/discretizer.h) reads off a ValueOrderIndex, so binning never
+/// sorts values.
 /// V-optimal runs an O(n'^2 * b) DP over the n' runs — use equi-depth when
 /// the domain is large and latency matters.
 [[nodiscard]]
 Result<Bins> BuildBinsFromRuns(const std::vector<ValueRun>& runs,
                                size_t max_bins, BinStrategy strategy);
-
-/// Builds bins over `values` (NaNs ignored): sorts them, run-length encodes
-/// equal values (a mix of -0.0 and 0.0 is one run of 0.0) and calls
-/// BuildBinsFromRuns. Errors when no value is left.
-[[nodiscard]]
-Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
-                       BinStrategy strategy);
 
 /// Formats a numeric bound compactly: 20000 -> "20K", 1500000 -> "1.5M",
 /// 37.5 -> "37.5".

@@ -3,8 +3,6 @@
 // columnar format of dbxc_format.h. StoreTable writes atomically (tmp +
 // rename); LoadTable mmaps, verifies checksums, and materializes; SnapshotId
 // reads only the header, so probing whether a table changed is O(header).
-// OpenTableFile exposes the raw mapped file for callers that want the
-// no-materialization Discretize path (bench/storage_ingest).
 
 #pragma once
 
@@ -38,12 +36,11 @@ class DbxcBackend : public StorageBackend {
   /// The file path `name` is (or would be) stored at.
   std::string PathFor(const std::string& name) const;
 
+ private:
+  [[nodiscard]] Status CheckOpen() const;
   /// Mmaps `name`'s file without materializing a Table.
   [[nodiscard]] Result<DbxcTableFile> OpenTableFile(
       const std::string& name, const DbxcOpenOptions& options = {});
-
- private:
-  [[nodiscard]] Status CheckOpen() const;
 
   std::string location_;
   bool open_ = false;

@@ -1,13 +1,10 @@
 #include "src/storage/dbxc_format.h"
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <numeric>
 
-#include "src/stats/histogram.h"
 #include "src/storage/storage.h"
 #include "src/util/hash.h"
 
@@ -470,64 +467,6 @@ Result<std::shared_ptr<Table>> DbxcTableFile::Materialize() const {
   auto table = Table::FromColumns(schema_, std::move(cols), num_rows());
   if (!table.ok()) return table.status();
   return std::make_shared<Table>(std::move(*table));
-}
-
-Result<DiscretizedTable> DbxcTableFile::Discretize(
-    const DiscretizerOptions& options) const {
-  if (options.max_numeric_bins == 0) {
-    return Status::InvalidArgument("max_numeric_bins must be >= 1");
-  }
-  const size_t rows = num_rows();
-  RowSet all(rows);
-  std::iota(all.begin(), all.end(), 0u);
-
-  std::vector<DiscreteAttr> attrs;
-  attrs.reserve(num_cols());
-  for (size_t c = 0; c < num_cols(); ++c) {
-    const DbxcColumnMeta& m = header_.cols[c];
-    DiscreteAttr da;
-    da.name = m.name;
-    da.original_type = m.type;
-    da.queriable = m.queriable;
-    da.codes.resize(rows, -1);
-    if (m.type == AttrType::kCategorical) {
-      // Same re-compaction as DiscretizedTable::Build: labels appear in
-      // first-appearance order over the (full) slice, which is the column
-      // Materialize would build. The stored codes come straight off the
-      // packed page; the strings are only touched once per distinct value,
-      // never per row.
-      std::vector<int32_t> stored;
-      DBX_RETURN_IF_ERROR(DecodeCodes(c, &stored));
-      auto dict = DictStrings(c);
-      if (!dict.ok()) return dict.status();
-      Column col(AttrType::kCategorical);
-      DBX_RETURN_IF_ERROR(col.AppendCodes(stored, *dict));
-      da.labels = col.dict();
-      da.codes = col.codes();
-    } else {
-      std::vector<double> values;
-      DBX_RETURN_IF_ERROR(CopyNumbers(c, &values));
-      std::vector<double> vals;
-      vals.reserve(rows);
-      for (double d : values) {
-        if (!std::isnan(d)) vals.push_back(d);
-      }
-      if (!vals.empty()) {
-        auto bins = BuildBins(vals, options.max_numeric_bins, options.strategy);
-        if (!bins.ok()) return bins.status();
-        da.bins = std::move(*bins);
-        da.labels.reserve(da.bins.num_bins());
-        for (size_t b = 0; b < da.bins.num_bins(); ++b) {
-          da.labels.push_back(da.bins.LabelOf(b));
-        }
-        for (size_t r = 0; r < rows; ++r) {
-          if (!std::isnan(values[r])) da.codes[r] = da.bins.BinOf(values[r]);
-        }
-      }
-    }
-    attrs.push_back(std::move(da));
-  }
-  return DiscretizedTable::FromParts(std::move(attrs), std::move(all));
 }
 
 Status WriteDbxcFile(const Table& table, const std::string& path) {

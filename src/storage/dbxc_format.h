@@ -2,9 +2,8 @@
 // DBXC: the on-disk columnar table format behind the `dbxc:` storage backend
 // (DESIGN.md §15). Dictionary-coded categorical columns with bit-packed code
 // pages and raw little-endian doubles, laid out so a reader can serve any
-// column straight out of an mmap — no per-value parsing, no allocation per
-// cell, and a DiscretizedTable view can be assembled without ever
-// materializing a Value table.
+// column straight out of an mmap — no per-value parsing and no allocation per
+// cell.
 //
 // Layout (all integers little-endian):
 //   [0,4)    magic "DBXC"
@@ -47,7 +46,6 @@
 #include <vector>
 
 #include "src/relation/table.h"
-#include "src/stats/discretizer.h"
 #include "src/storage/mmap_file.h"
 #include "src/util/result.h"
 
@@ -138,12 +136,6 @@ class DbxcTableFile {
   /// entries, merges duplicate strings and yields first-appearance order
   /// (the order DbxcSerialize writes) even for files that do not have it.
   [[nodiscard]] Result<std::shared_ptr<Table>> Materialize() const;
-
-  /// Builds the full-table DiscretizedTable straight from the mapped pages —
-  /// byte-identical to DiscretizedTable::Build(TableSlice::All(materialized),
-  /// options) but without ever constructing a Table or a Value.
-  [[nodiscard]] Result<DiscretizedTable> Discretize(
-      const DiscretizerOptions& options) const;
 
  private:
   [[nodiscard]] Status Init(const DbxcOpenOptions& options);

@@ -411,36 +411,44 @@ TEST(ScaledUsedCarsTest, GoldenFingerprints1M) {
 
 TEST(ScaledUsedCarsTest, StreamingDiscretizeMatchesBuildAcrossShards) {
   // With bin_sample == 0 the streaming discretization must equal
-  // DiscretizedTable::Build over the materialized table byte for byte, at
-  // every shard x thread combination.
+  // DiscretizedTable::Build over the materialized table byte for byte, for
+  // every bin strategy at every shard x thread combination.
   ScaledUsedCars gen(10000, kScaled10KSeed);
   auto table = gen.Materialize();
   ASSERT_TRUE(table.ok());
-  auto built = DiscretizedTable::Build(TableSlice::All(*table),
-                                       DiscretizerOptions{});
-  ASSERT_TRUE(built.ok());
 
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ScaledDiscretizeOptions opts;
-      opts.num_shards = shards;
-      opts.num_threads = threads;
-      opts.bin_sample = 0;
-      auto streamed = gen.Discretize(opts);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      ASSERT_EQ(streamed->num_rows(), built->num_rows());
-      ASSERT_EQ(streamed->num_attrs(), built->num_attrs());
-      for (size_t a = 0; a < built->num_attrs(); ++a) {
-        const DiscreteAttr& want = built->attr(a);
-        const DiscreteAttr& got = streamed->attr(a);
-        EXPECT_EQ(got.name, want.name);
-        EXPECT_EQ(got.queriable, want.queriable);
-        EXPECT_EQ(got.labels, want.labels)
-            << "attr " << want.name << " shards=" << shards;
-        EXPECT_EQ(got.codes, want.codes)
-            << "attr " << want.name << " shards=" << shards
-            << " threads=" << threads;
-        EXPECT_EQ(got.bins.edges, want.bins.edges) << "attr " << want.name;
+  for (BinStrategy strategy : {BinStrategy::kEquiWidth,
+                               BinStrategy::kEquiDepth,
+                               BinStrategy::kVOptimal}) {
+    DiscretizerOptions discretizer;
+    discretizer.strategy = strategy;
+    auto built = DiscretizedTable::Build(TableSlice::All(*table), discretizer);
+    ASSERT_TRUE(built.ok());
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        ScaledDiscretizeOptions opts;
+        opts.discretizer = discretizer;
+        opts.num_shards = shards;
+        opts.num_threads = threads;
+        opts.bin_sample = 0;
+        auto streamed = gen.Discretize(opts);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        ASSERT_EQ(streamed->num_rows(), built->num_rows());
+        ASSERT_EQ(streamed->num_attrs(), built->num_attrs());
+        for (size_t a = 0; a < built->num_attrs(); ++a) {
+          const DiscreteAttr& want = built->attr(a);
+          const DiscreteAttr& got = streamed->attr(a);
+          EXPECT_EQ(got.name, want.name);
+          EXPECT_EQ(got.queriable, want.queriable);
+          EXPECT_EQ(got.labels, want.labels)
+              << "attr " << want.name << " shards=" << shards << " "
+              << BinStrategyName(strategy);
+          EXPECT_EQ(got.codes, want.codes)
+              << "attr " << want.name << " shards=" << shards
+              << " threads=" << threads << " " << BinStrategyName(strategy);
+          EXPECT_EQ(got.bins.edges, want.bins.edges)
+              << "attr " << want.name << " " << BinStrategyName(strategy);
+        }
       }
     }
   }

@@ -298,10 +298,16 @@ TEST(LayeringRule, StorageIncludesItsWhitelistedLayers) {
   EXPECT_TRUE(RulesHit("src/storage/dbxc_backend.cc",
                        "#include \"src/storage/dbxc_format.h\"\n"
                        "#include \"src/relation/table.h\"\n"
-                       "#include \"src/stats/discretizer.h\"\n"
                        "#include \"src/obs/metrics.h\"\n"
                        "#include \"src/util/result.h\"\n")
                   .empty());
+  // Storage knows nothing of discretization or the CAD View pipeline.
+  EXPECT_TRUE(Contains(RulesHit("src/storage/dbxc_format.cc",
+                                "#include \"src/stats/discretizer.h\"\n"),
+                       "layering"));
+  EXPECT_TRUE(Contains(RulesHit("src/storage/dbxc_backend.cc",
+                                "#include \"src/core/cad_view.h\"\n"),
+                       "layering"));
   // Storage is a leaf: it may not reach up into query/session/server.
   EXPECT_TRUE(Contains(RulesHit("src/storage/mem_backend.cc",
                                 "#include \"src/query/engine.h\"\n"),

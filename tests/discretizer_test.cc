@@ -13,6 +13,7 @@
 #include <limits>
 #include <thread>
 
+#include "src/data/synthetic.h"
 #include "src/data/used_cars.h"
 #include "src/stats/discretizer.h"
 #include "src/util/rng.h"
@@ -272,6 +273,37 @@ TEST(IndexedDiscretizeTest, MatchesReferenceOnUsedCars) {
       opt.strategy = strategy;
       ExpectMatchesReference(cars, rows, opt,
                              name + " " + BinStrategyName(strategy));
+    }
+  }
+}
+
+TEST(IndexedDiscretizeTest, ScaledSampleBinsMatchSortReference) {
+  // With bin_sample > 0, ScaledUsedCars::Discretize bins each numeric
+  // attribute over the strided row sample {0, stride, 2 * stride, ...},
+  // stride = rows / bin_sample, and codes every row by its value.
+  constexpr size_t kRows = 20000, kSample = 1024;
+  ScaledUsedCars gen(kRows, 3);
+  auto table = gen.Materialize();
+  ASSERT_TRUE(table.ok());
+  RowSet sample;
+  for (uint32_t r = 0; r < kRows; r += kRows / kSample) sample.push_back(r);
+  for (BinStrategy strategy : kStrategies) {
+    ScaledDiscretizeOptions opts;
+    opts.bin_sample = kSample;
+    opts.discretizer.strategy = strategy;
+    auto dt = gen.Discretize(opts);
+    ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+    for (size_t a = 0; a < table->num_cols(); ++a) {
+      if (table->schema().attr(a).type != AttrType::kNumeric) continue;
+      const Column& col = table->col(a);
+      DiscreteAttr want = RefNumeric(col, sample, opts.discretizer);
+      want.codes.clear();
+      for (size_t r = 0; r < kRows; ++r) {
+        want.codes.push_back(want.bins.BinOf(col.NumberAt(r)));
+      }
+      ExpectSameAttr(dt->attr(a), want,
+                     std::string(BinStrategyName(strategy)) +
+                         " attr=" + table->schema().attr(a).name);
     }
   }
 }

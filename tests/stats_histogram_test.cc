@@ -1,15 +1,30 @@
 // Tests for histogram binning: per-strategy behaviour plus parameterized
-// invariants shared by all strategies.
+// invariants shared by all strategies, through BuildBinsFromRuns fed the runs
+// of the values' ValueOrderIndex (the runs BinNumeric hands it).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/relation/column.h"
 #include "src/stats/histogram.h"
 #include "src/util/rng.h"
 
 namespace dbx {
 namespace {
+
+// Bins `values` (NaNs ignored): one run per distinct value of their
+// ValueOrderIndex, counted over the ranks.
+Result<Bins> BinValues(const std::vector<double>& values, size_t max_bins,
+                       BinStrategy strategy) {
+  std::shared_ptr<const ValueOrderIndex> index = ValueOrderIndex::Build(values);
+  std::vector<ValueRun> runs;
+  for (double v : index->distinct) runs.push_back({v, 0});
+  for (uint32_t k : index->ranks) {
+    if (k != ValueOrderIndex::kNullRank) ++runs[k].count;
+  }
+  return BuildBinsFromRuns(runs, max_bins, strategy);
+}
 
 std::vector<double> UniformValues(size_t n, double lo, double hi,
                                   uint64_t seed) {
@@ -48,7 +63,7 @@ TEST(BinsTest, LabelUsesCompactForm) {
 }
 
 TEST(BuildBinsTest, EquiWidthEdgesAreUniform) {
-  auto bins = BuildBins({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5,
+  auto bins = BinValues({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5,
                         BinStrategy::kEquiWidth);
   ASSERT_TRUE(bins.ok());
   ASSERT_EQ(bins->num_bins(), 5u);
@@ -59,7 +74,7 @@ TEST(BuildBinsTest, EquiWidthEdgesAreUniform) {
 
 TEST(BuildBinsTest, EquiDepthBalancesCounts) {
   std::vector<double> v = UniformValues(10000, 0, 100, 3);
-  auto bins = BuildBins(v, 4, BinStrategy::kEquiDepth);
+  auto bins = BinValues(v, 4, BinStrategy::kEquiDepth);
   ASSERT_TRUE(bins.ok());
   ASSERT_EQ(bins->num_bins(), 4u);
   std::vector<size_t> counts(4, 0);
@@ -77,7 +92,7 @@ TEST(BuildBinsTest, VOptimalSeparatesClusters) {
   for (int i = 0; i < 200; ++i) v.push_back(rng.NextGaussian(0.0, 0.5));
   for (int i = 0; i < 200; ++i) v.push_back(rng.NextGaussian(50.0, 0.5));
   for (int i = 0; i < 200; ++i) v.push_back(rng.NextGaussian(100.0, 0.5));
-  auto bins = BuildBins(v, 3, BinStrategy::kVOptimal);
+  auto bins = BinValues(v, 3, BinStrategy::kVOptimal);
   ASSERT_TRUE(bins.ok());
   ASSERT_EQ(bins->num_bins(), 3u);
   // Cluster centers land in distinct bins.
@@ -107,23 +122,23 @@ TEST(BuildBinsTest, VOptimalBeatsEquiWidthOnSkewedData) {
     }
     return sse;
   };
-  auto vo = BuildBins(v, 4, BinStrategy::kVOptimal);
-  auto ew = BuildBins(v, 4, BinStrategy::kEquiWidth);
+  auto vo = BinValues(v, 4, BinStrategy::kVOptimal);
+  auto ew = BinValues(v, 4, BinStrategy::kEquiWidth);
   ASSERT_TRUE(vo.ok());
   ASSERT_TRUE(ew.ok());
   EXPECT_LE(sse_of(*vo), sse_of(*ew) + 1e-9);
 }
 
 TEST(BuildBinsTest, ErrorsAndDegenerateInputs) {
-  EXPECT_TRUE(BuildBins({}, 4, BinStrategy::kEquiWidth).status()
+  EXPECT_TRUE(BinValues({}, 4, BinStrategy::kEquiWidth).status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(BuildBins({1.0}, 0, BinStrategy::kEquiWidth).status()
+  EXPECT_TRUE(BinValues({1.0}, 0, BinStrategy::kEquiWidth).status()
                   .IsInvalidArgument());
-  auto all_nan = BuildBins({std::nan(""), std::nan("")}, 4,
+  auto all_nan = BinValues({std::nan(""), std::nan("")}, 4,
                            BinStrategy::kEquiDepth);
   EXPECT_FALSE(all_nan.ok());
 
-  auto constant = BuildBins({5, 5, 5, 5}, 4, BinStrategy::kEquiDepth);
+  auto constant = BinValues({5, 5, 5, 5}, 4, BinStrategy::kEquiDepth);
   ASSERT_TRUE(constant.ok());
   EXPECT_EQ(constant->num_bins(), 1u);
   EXPECT_EQ(constant->BinOf(5.0), 0);
@@ -137,7 +152,7 @@ TEST_P(BinInvariantTest, EdgesSortedAndCoverEveryValue) {
   auto [strategy, max_bins] = GetParam();
   std::vector<double> v = UniformValues(3000, -50, 200, 11);
   v.push_back(std::nan(""));  // NaNs must be ignored
-  auto bins = BuildBins(v, max_bins, strategy);
+  auto bins = BinValues(v, max_bins, strategy);
   ASSERT_TRUE(bins.ok()) << BinStrategyName(strategy);
   EXPECT_GE(bins->num_bins(), 1u);
   EXPECT_LE(bins->num_bins(), max_bins);

@@ -1,10 +1,9 @@
 // Tests for the pluggable storage subsystem (DESIGN.md §15): URI parsing and
 // the scheme factory, the mem: backend, the DBXC on-disk columnar format
-// (byte-identical round trips, the mmap no-materialization Discretize path,
-// and clean Status for every durability edge — truncation, bad magic,
-// checksum mismatches, versions from the future), the dbxc: directory
-// backend, and the sqlite: ingest adapter (auto-skipped when the build has
-// no SQLite3).
+// (byte-identical round trips, materialization column by column, and clean
+// Status for every durability edge — truncation, bad magic, checksum
+// mismatches, versions from the future), the dbxc: directory backend, and
+// the sqlite: ingest adapter (auto-skipped when the build has no SQLite3).
 
 #include "src/storage/storage.h"
 
@@ -289,33 +288,6 @@ TEST(DbxcFormatTest, WideDictionaryCrossesWordBoundaries) {
   auto back = file->Materialize();
   ASSERT_TRUE(back.ok());
   ExpectTablesEqual(t, **back);
-}
-
-TEST(DbxcFormatTest, MmapDiscretizeMatchesMaterializedBuild) {
-  Table t = MakeSample();
-  auto file = DbxcTableFile::FromBytes(DbxcSerialize(t));
-  ASSERT_TRUE(file.ok());
-
-  DiscretizerOptions options;
-  options.max_numeric_bins = 4;
-  auto from_mmap = file->Discretize(options);
-  ASSERT_TRUE(from_mmap.ok()) << from_mmap.status().ToString();
-  auto from_table = DiscretizedTable::Build(TableSlice::All(t), options);
-  ASSERT_TRUE(from_table.ok());
-
-  ASSERT_EQ(from_mmap->num_attrs(), from_table->num_attrs());
-  ASSERT_EQ(from_mmap->num_rows(), from_table->num_rows());
-  EXPECT_EQ(from_mmap->rows(), from_table->rows());
-  for (size_t a = 0; a < from_table->num_attrs(); ++a) {
-    const DiscreteAttr& x = from_mmap->attr(a);
-    const DiscreteAttr& y = from_table->attr(a);
-    EXPECT_EQ(x.name, y.name);
-    EXPECT_EQ(x.original_type, y.original_type);
-    EXPECT_EQ(x.queriable, y.queriable);
-    EXPECT_EQ(x.labels, y.labels);
-    EXPECT_EQ(x.codes, y.codes);
-    EXPECT_EQ(x.bins.edges, y.bins.edges);
-  }
 }
 
 // --- DBXC durability edges ---------------------------------------------------
@@ -639,7 +611,7 @@ Table RowWiseReference(const std::vector<StoredColumn>& cols, size_t rows) {
   return t;
 }
 
-/// Loads the hand-built file, checks it and its mmap Discretize against the
+/// Loads the hand-built file, checks it and its discretization against the
 /// row-wise reference, and returns it for case-specific checks.
 std::shared_ptr<Table> ExpectLoadsLikeRowWise(
     const std::vector<StoredColumn>& cols, size_t rows) {
@@ -652,15 +624,16 @@ std::shared_ptr<Table> ExpectLoadsLikeRowWise(
   const Table reference = RowWiseReference(cols, rows);
   EXPECT_EQ(TableContentHash(**loaded), TableContentHash(reference));
   EXPECT_EQ(DbxcSerialize(**loaded), DbxcSerialize(reference));
-  // The mmap Discretize path follows the same intern rule.
+  // Discretizing the loaded table sees the same re-interned values.
   const DiscretizerOptions options;
-  auto mapped = file->Discretize(options);
+  auto from_loaded =
+      DiscretizedTable::Build(TableSlice::All(**loaded), options);
   auto built = DiscretizedTable::Build(TableSlice::All(reference), options);
-  EXPECT_TRUE(mapped.ok() && built.ok());
-  if (mapped.ok() && built.ok()) {
+  EXPECT_TRUE(from_loaded.ok() && built.ok());
+  if (from_loaded.ok() && built.ok()) {
     for (size_t a = 0; a < built->num_attrs(); ++a) {
-      EXPECT_EQ(mapped->attr(a).labels, built->attr(a).labels);
-      EXPECT_EQ(mapped->attr(a).codes, built->attr(a).codes);
+      EXPECT_EQ(from_loaded->attr(a).labels, built->attr(a).labels);
+      EXPECT_EQ(from_loaded->attr(a).codes, built->attr(a).codes);
     }
   }
   return *loaded;

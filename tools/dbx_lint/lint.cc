@@ -288,9 +288,9 @@ const std::vector<RuleInfo>& Rules() {
        "lock_guard/unique_lock/scoped_lock, never raw lock()/unlock()"},
       {"layering", "R4",
        "src/util includes only src/util; src/obs includes only src/util and "
-       "src/obs; src/storage includes only src/{storage,core,relation,stats,"
-       "obs,util}; src/server includes only src/{server,explorer,query,obs,"
-       "util}; no other src/ layer may include src/server, and only the "
+       "src/obs; src/storage includes only src/{storage,relation,obs,util}; "
+       "src/server includes only src/{server,explorer,query,obs,util}; no "
+       "other src/ layer may include src/server, and only the "
        "engine/session/server glue (src/{query,explorer,server}) may include "
        "src/storage"},
       {"raw-stream", "R5",
@@ -816,11 +816,10 @@ void Linter::RuleLayering(const SourceFile& f,
       {"src/util/", {"src/util/"}},
       {"src/obs/", {"src/util/", "src/obs/"}},
       // Storage is a leaf subsystem over the data model: it may read and
-      // build relations (and discretize them), but knows nothing about
-      // query/session/server machinery.
+      // build relations, but knows nothing about discretization, the CAD
+      // View pipeline or query/session/server machinery.
       {"src/storage/",
-       {"src/storage/", "src/core/", "src/relation/", "src/stats/",
-        "src/obs/", "src/util/"}},
+       {"src/storage/", "src/relation/", "src/obs/", "src/util/"}},
       // The server sits at the top of the stack: it may use the exploration
       // and query layers (plus obs/util), but nothing below may know it
       // exists — the dispatcher stays a pure consumer of the library.
